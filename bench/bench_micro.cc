@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "dphist/data/generators.h"
 #include "dphist/hist/fenwick.h"
 #include "dphist/obs/export.h"
 #include "dphist/hist/interval_cost.h"
@@ -217,18 +219,37 @@ void RunNoiseBatchTable(dphist_bench::BenchJsonWriter& json) {
   }
 }
 
-// The M1 strategy table: per (n, strategy), the median wall time of a
-// 64-bucket solve over the uniform worst-case counts, plus the solver's
-// deterministic work counters. Emitted as bench JSON so the regression
-// gate holds both the timing ratio and — tightly — the pruning behavior
-// (a jump in cost_lookups means the bound or the skip rules changed).
+// The M1 strategy table: per (shape, strategy), the median wall time of a
+// solve plus the solver's deterministic work counters. The shapes are the
+// 64-bucket solve over uniform worst-case counts at three domain sizes,
+// and the cold_publish solve — NoiseFirst's 256-bucket search over the
+// network trace plus epsilon = 0.1 Laplace noise at n = 1024. Emitted as
+// bench JSON so the regression gate holds both the timing ratio and —
+// tightly — the pruning behavior (a jump in cost_lookups or bound_scans
+// means the bounds or the skip rules changed).
 void RunVOptStrategyTable(dphist_bench::BenchJsonWriter& json) {
-  const std::size_t reps = dphist_bench::Repetitions();
+  struct Shape {
+    const char* dataset;
+    std::vector<double> counts;
+    std::size_t k;
+    double epsilon;  // 0 = noiseless
+  };
+  std::vector<double> cold = dphist::MakeNetTrace(1024, 42).histogram.counts();
+  dphist::Rng noise_rng(5);
+  for (double& c : cold) {
+    c += dphist::SampleLaplace(noise_rng, 10.0);
+  }
+  std::vector<Shape> shapes;
   for (const std::size_t n : {std::size_t{256}, std::size_t{1024},
                               std::size_t{4096}}) {
-    const std::vector<double> counts = RandomCounts(n);
+    shapes.push_back({"uniform", RandomCounts(n), 64, 0.0});
+  }
+  shapes.push_back({"nettrace", std::move(cold), 256, 0.1});
+
+  const std::size_t reps = dphist_bench::Repetitions();
+  for (const Shape& shape : shapes) {
     dphist::IntervalCostTable::Options options;
-    auto table = dphist::IntervalCostTable::Create(counts, options);
+    auto table = dphist::IntervalCostTable::Create(shape.counts, options);
     double naive_ms = 0.0;
     for (const dphist::VOptStrategy strategy :
          {dphist::VOptStrategy::kNaive, dphist::VOptStrategy::kMonotone}) {
@@ -239,7 +260,7 @@ void RunVOptStrategyTable(dphist_bench::BenchJsonWriter& json) {
       for (std::size_t rep = 0; rep < reps; ++rep) {
         const auto start = std::chrono::steady_clock::now();
         auto solver =
-            dphist::VOptSolver::Solve(table.value(), 64, solve_options);
+            dphist::VOptSolver::Solve(table.value(), shape.k, solve_options);
         wall_ms.push_back(std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - start)
                               .count());
@@ -250,14 +271,18 @@ void RunVOptStrategyTable(dphist_bench::BenchJsonWriter& json) {
       auto row = json.Row()
                      .Str("fig", "m1_vopt")
                      .Str("algo", "vopt_solve")
+                     .Str("dataset", shape.dataset)
                      .Str("strategy", dphist::VOptStrategyName(strategy))
-                     .Num("n", static_cast<double>(n))
-                     .Num("k", 64.0)
+                     .Num("n", static_cast<double>(shape.counts.size()))
+                     .Num("k", static_cast<double>(shape.k))
                      .Num("solve_ms", median)
                      .Num("cost_lookups",
                           static_cast<double>(stats.cost_lookups))
                      .Num("bound_scans",
                           static_cast<double>(stats.bound_scans));
+      if (shape.epsilon > 0.0) {
+        row.Num("epsilon", shape.epsilon);
+      }
       if (strategy == dphist::VOptStrategy::kNaive) {
         naive_ms = median;
       } else {

@@ -1,7 +1,6 @@
 #include "dphist/hist/vopt_dp.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <limits>
 
@@ -21,22 +20,13 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 // the tail balanced.
 constexpr std::size_t kRowMinChunk = 32;
 
-// Monotone-path tuning (DESIGN §7): candidates are bound-scanned in blocks
-// of kBoundBlock, and kCellTile cells of one row share each block sweep so
-// the prev/csum/csq/reciprocal blocks stay L1-resident across the tile
-// instead of being re-streamed from L2 once per cell.
+// Monotone-path tuning (DESIGN §7): candidates are scanned in blocks of
+// kBoundBlock, and a squared-cost block that survives both its O(1) block
+// bound and the kernel's scan is rescanned as kSubBlock-candidate
+// sub-blocks, each checked against its own O(1) bound first. Both sizes
+// were chosen by measurement.
 constexpr std::size_t kBoundBlock = 64;
-constexpr std::size_t kCellTile = 32;
-
-// Interval-length reciprocals are inflated by 1 + 2^-40 so that
-// (sum*sum) * rr >= fl((sum*sum) / length) under any rounding — including
-// any FMA contraction of the kernel expression: the inflation dominates
-// the relative rounding error of the reciprocal and of the product (each
-// ~2^-53) by orders of magnitude, while remaining far too small to cost
-// measurable pruning. This is what makes the kernel's lower bound
-// *certified* — never above the exact candidate — rather than merely
-// close (DESIGN §7 gives the full argument).
-constexpr double kReciprocalInflate = 1.0 + 0x1p-40;
+constexpr std::size_t kSubBlock = 8;
 
 // Below this candidate count kAuto stays naive: the monotone path's
 // per-row suffix minima and per-cell upper-bound seeding only pay for
@@ -76,6 +66,12 @@ struct SquaredBoundTables {
   const double* csq;      // prefix sums of squares, same gather
   const double* rrev;     // rrev[m - d] = inflated 1/(d * grid_step)
   const double* suffmin;  // suffix minima of the previous row
+  // Minima of the previous row over kBoundBlock / kSubBlock candidate
+  // blocks anchored at k-1: block_min[q] covers [k-1 + q*kBoundBlock, ...).
+  const double* block_min;
+  const double* sub_min;
+  const std::int32_t* prev_par;  // argmins of the previous row
+  double slack;                  // vopt_kernel::SquaredCostSlack
   std::size_t m;
 };
 
@@ -84,113 +80,109 @@ struct SquaredBoundTables {
 // Tie-breaking contract: the only values ever written are exact
 // candidates prev[j] + CostBetween(j, i), evaluated in ascending j with
 // strict '<', and the skip rules provably never eliminate the leftmost
-// argmin — `lb > ub` because the bound never exceeds the candidate and ub
-// never drops below the row minimum; `lb >= best` because best's achiever
-// lies at a smaller j. So curr/par match NaiveCell bit for bit, at any
-// thread count, and only the amount of skipped work varies (DESIGN §7).
+// argmin, whether they dismiss one candidate or a whole block — `lb > ub`
+// because the bound never exceeds any candidate it covers and ub never
+// drops below the row minimum; `lb >= best` because best's achiever lies
+// at a smaller j. So curr/par match NaiveCell bit for bit, at any thread
+// count, and only the amount of skipped work varies (DESIGN §7).
 void MonotoneSquaredCells(const IntervalCostTable& costs,
                           const SquaredBoundTables& t, const double* prev,
                           double* curr, std::int32_t* par, std::size_t k,
                           std::size_t begin, std::size_t end,
                           std::uint64_t* lookups, std::uint64_t* scans) {
-  struct Cell {
-    std::size_t i;
-    double si;         // prefix sum at i
-    double qi;         // prefix sum of squares at i
-    const double* rr;  // rr[j] = inflated reciprocal of length (i - j)
-    double ub;         // certified upper bound on this cell's row minimum
-    double best;       // min over candidates evaluated so far (ascending)
-    std::int32_t bj;
-    bool done;
-  };
-  std::array<Cell, kCellTile> tile;
-  for (std::size_t i0 = begin; i0 < end; i0 += kCellTile) {
-    const std::size_t tcount = std::min(kCellTile, end - i0);
-    std::size_t active = tcount;
-    for (std::size_t t_idx = 0; t_idx < tcount; ++t_idx) {
-      Cell& c = tile[t_idx];
-      c.i = i0 + t_idx;
-      c.si = t.csum[c.i];
-      c.qi = t.csq[c.i];
-      c.rr = t.rrev + (t.m - c.i);
-      // Seed the upper bound with the exact j = i-1 candidate, so every
-      // later comparison starts against an attainable value instead of
-      // infinity. The seed deliberately does NOT touch `best`: j = i-1 is
-      // the *last* candidate, and crediting it early would let an
-      // equal-valued smaller j be skipped — breaking the leftmost
-      // tie-break that makes the table bit-identical to naive.
-      c.ub = prev[c.i - 1] + costs.CostBetween(c.i - 1, c.i);
+  const std::size_t base = k - 1;
+  for (std::size_t i = begin; i < end; ++i) {
+    const double si = t.csum[i];
+    const double qi = t.csq[i];
+    const double* rr = t.rrev + (t.m - i);  // inflated 1/length of (j, i)
+    // Seed the upper bound with exact candidates, so every comparison
+    // starts against an attainable value instead of infinity: j = i-1,
+    // and the previous row's argmin at i, which tends to sit near this
+    // cell's. Both depend on row k-1 alone, never on how the row is
+    // chunked, so the work counts stay thread-invariant. The seeds
+    // deliberately do NOT touch `best`: crediting a candidate out of
+    // ascending order would let an equal-valued smaller j be skipped —
+    // breaking the leftmost tie-break that makes the table bit-identical
+    // to naive.
+    double ub = prev[i - 1] + costs.CostBetween(i - 1, i);
+    ++*lookups;
+    const std::int32_t seed = t.prev_par[i];
+    if (seed >= static_cast<std::int32_t>(base) &&
+        static_cast<std::size_t>(seed) + 2 <= i) {
+      const auto j = static_cast<std::size_t>(seed);
+      const double candidate = prev[j] + costs.CostBetween(j, i);
       ++*lookups;
-      c.best = kInfinity;
-      c.bj = -1;
-      c.done = false;
+      ub = candidate < ub ? candidate : ub;
     }
-    for (std::size_t b0 = k - 1; b0 + 1 < i0 + tcount && active > 0;
-         b0 += kBoundBlock) {
-      for (std::size_t t_idx = 0; t_idx < tcount; ++t_idx) {
-        Cell& c = tile[t_idx];
-        if (c.done || b0 >= c.i) {
+    double best = kInfinity;
+    std::int32_t bj = -1;
+    for (std::size_t b0 = base; b0 < i; b0 += kBoundBlock) {
+      // Every remaining candidate satisfies cand >= prev[j] >=
+      // suffmin[b0]; once that floor clears both thresholds, no later
+      // block can improve the cell.
+      if (t.suffmin[b0] > ub || t.suffmin[b0] >= best) {
+        break;
+      }
+      const std::size_t e = std::min(i, b0 + kBoundBlock);
+      const double block_lb = vopt_kernel::SquaredBlockLowerBound(
+          t.block_min[(b0 - base) / kBoundBlock], t.csum, t.csq, rr, si, qi,
+          e - 1, t.slack);
+      if (block_lb > ub || block_lb >= best) {
+        continue;  // dismissed without reading the block's candidates
+      }
+      *scans += e - b0;
+      const double bmin = vopt_kernel::SquaredLowerBoundBlockMin(
+          prev, t.csum, t.csq, rr, si, qi, b0, e);
+      if (bmin > ub || bmin >= best) {
+        continue;  // no candidate in this block can improve the cell
+      }
+      for (std::size_t s0 = b0; s0 < e; s0 += kSubBlock) {
+        const std::size_t s1 = std::min(e, s0 + kSubBlock);
+        const double sub_lb = vopt_kernel::SquaredBlockLowerBound(
+            t.sub_min[(s0 - base) / kSubBlock], t.csum, t.csq, rr, si, qi,
+            s1 - 1, t.slack);
+        if (sub_lb > ub || sub_lb >= best) {
           continue;
         }
-        // Every remaining candidate satisfies cand >= prev[j] >=
-        // suffmin[b0]; once that floor clears both thresholds, no later
-        // block can improve the cell.
-        if (t.suffmin[b0] > c.ub || t.suffmin[b0] >= c.best) {
-          c.done = true;
-          --active;
-          continue;
-        }
-        const std::size_t e = std::min(c.i, b0 + kBoundBlock);
-        *scans += e - b0;
-        const double bmin = vopt_kernel::SquaredLowerBoundBlockMin(
-            prev, t.csum, t.csq, c.rr, c.si, c.qi, b0, e);
-        if (bmin > c.ub || bmin >= c.best) {
-          continue;  // no candidate in this block can improve the cell
-        }
-        // The block may hold an improvement: re-derive the per-candidate
-        // bound scalar-side (every FP-contraction variant of the
-        // expression is equally certified) and evaluate the survivors
+        // The sub-block may hold an improvement: re-derive the
+        // per-candidate bound scalar-side (every FP-contraction variant of
+        // the expression is equally certified) and evaluate the survivors
         // exactly, in ascending j.
-        for (std::size_t j = b0; j < e; ++j) {
-          const double sum = c.si - t.csum[j];
-          double lb = prev[j] + ((c.qi - t.csq[j]) - (sum * sum) * c.rr[j]);
+        for (std::size_t j = s0; j < s1; ++j) {
+          const double sum = si - t.csum[j];
+          double lb = prev[j] + ((qi - t.csq[j]) - (sum * sum) * rr[j]);
           lb = lb > prev[j] ? lb : prev[j];
-          if (lb > c.ub || lb >= c.best) {
+          if (lb > ub || lb >= best) {
             continue;
           }
-          const double candidate = prev[j] + costs.CostBetween(j, c.i);
+          const double candidate = prev[j] + costs.CostBetween(j, i);
           ++*lookups;
-          if (candidate < c.ub) {
-            c.ub = candidate;
+          if (candidate < ub) {
+            ub = candidate;
           }
-          if (candidate < c.best) {
-            c.best = candidate;
-            c.bj = static_cast<std::int32_t>(j);
+          if (candidate < best) {
+            best = candidate;
+            bj = static_cast<std::int32_t>(j);
           }
         }
       }
     }
-    for (std::size_t t_idx = 0; t_idx < tcount; ++t_idx) {
-      Cell& c = tile[t_idx];
-      if (c.bj < 0) {
-        // Unreachable by the DESIGN §7 argument (the leftmost argmin
-        // survives every skip rule); kept so a future bound regression
-        // would degrade to a naive scan instead of corrupting the table.
-        *lookups += NaiveCell(costs, prev, curr, par, k, c.i);
-        continue;
-      }
-      curr[c.i] = c.best;
-      par[c.i] = c.bj;
+    if (bj < 0) {
+      // Unreachable by the DESIGN §7 argument (the leftmost argmin
+      // survives every skip rule); kept so a future bound regression
+      // would degrade to a naive scan instead of corrupting the table.
+      *lookups += NaiveCell(costs, prev, curr, par, k, i);
+      continue;
     }
+    curr[i] = best;
+    par[i] = bj;
   }
 }
 
 // Absolute-cost analogue: the packed triangular column of end candidate i
 // is contiguous in j, so the kernel takes an *exact* block min over
 // prev[j] + col[j] directly — no bound arithmetic, no reciprocals, and the
-// same two skip rules and ascending strict-'<' rescan as above. Two
-// sequential streams already saturate the reduction, so cells are not
-// tiled here.
+// same two skip rules and ascending strict-'<' rescan as above.
 void MonotoneAbsoluteCells(const IntervalCostTable& costs,
                            const double* suffmin, const double* prev,
                            double* curr, std::int32_t* par, std::size_t k,
@@ -369,7 +361,8 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
   // prefix tables at the candidate positions so the kernel streams them
   // contiguously; rrev holds inflated reciprocals addressed by
   // rr = rrev + (m - i), making rr[j] the reciprocal of length (i - j).
-  std::vector<double> csum, csq, rrev, suffmin;
+  std::vector<double> csum, csq, rrev, suffmin, block_min, sub_min;
+  double slack = 0.0;
   if (monotone_squared) {
     const std::vector<double>& sums = costs.prefix_sums();
     const std::vector<double>& squares = costs.prefix_squares();
@@ -383,8 +376,11 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
     for (std::size_t d = 1; d <= m; ++d) {
       rrev[m - d] =
           (1.0 / (static_cast<double>(d) * static_cast<double>(grid))) *
-          kReciprocalInflate;
+          vopt_kernel::kReciprocalInflate;
     }
+    slack = vopt_kernel::SquaredCostSlack(csq[m], costs.domain_size());
+    sub_min.resize(m / kSubBlock + 1);
+    block_min.resize(m / kBoundBlock + 1);
   }
   if (monotone) {
     suffmin.resize(m + 1);
@@ -404,6 +400,22 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
         suffmin[j] = std::min(prev[j], suffmin[j + 1]);
       }
     }
+    if (monotone_squared) {
+      // Block and sub-block minima of the previous row over the candidate
+      // range [k-1, m), anchored at k-1 like every cell's block walk: the
+      // prev floor of each O(1) block bound. Built alongside suffmin.
+      std::size_t subs = 0;
+      for (std::size_t s0 = k - 1; s0 < m; s0 += kSubBlock, ++subs) {
+        sub_min[subs] =
+            *std::min_element(prev + s0, prev + std::min(m, s0 + kSubBlock));
+      }
+      constexpr std::size_t kSubsPerBlock = kBoundBlock / kSubBlock;
+      for (std::size_t q = 0; q * kSubsPerBlock < subs; ++q) {
+        block_min[q] = *std::min_element(
+            sub_min.data() + q * kSubsPerBlock,
+            sub_min.data() + std::min(subs, (q + 1) * kSubsPerBlock));
+      }
+    }
     // Cells the squared kernel covers; when the domain end is not
     // grid-aligned the final cell's last interval has an off-grid length,
     // so that one cell per row takes the naive scan instead.
@@ -416,8 +428,12 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
       std::uint64_t lookups = 0;
       std::uint64_t scans = 0;
       if (monotone_squared) {
-        const SquaredBoundTables tables{csum.data(), csq.data(), rrev.data(),
-                                        suffmin.data(), m};
+        const SquaredBoundTables tables{
+            csum.data(),      csq.data(),
+            rrev.data(),      suffmin.data(),
+            block_min.data(), sub_min.data(),
+            &solver.parent_[(k - 1) * width], slack,
+            m};
         MonotoneSquaredCells(costs, tables, prev, curr, par, k, begin, end,
                              &lookups, &scans);
       } else if (monotone) {

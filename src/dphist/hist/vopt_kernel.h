@@ -1,36 +1,84 @@
 #ifndef DPHIST_HIST_VOPT_KERNEL_H_
 #define DPHIST_HIST_VOPT_KERNEL_H_
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 
 namespace dphist {
 namespace vopt_kernel {
 
-// Block-min kernels for the monotone v-opt row solver (DESIGN §7).
+// Bound kernels for the monotone v-opt row solver (DESIGN §7).
 //
-// This translation unit is compiled with -ffinite-math-only
+// The two out-of-line block-min kernels live in vopt_kernel.cc. That
+// translation unit is compiled with -ffinite-math-only
 // -fno-signed-zeros (see src/CMakeLists.txt) so the compiler vectorizes
 // the floating-point min reductions, with target_clones dispatching to
 // AVX2/AVX-512 at runtime where available. The relaxed FP semantics are
-// safe here because both functions produce *pruning thresholds only*:
-// no value computed in this TU is ever written to the DP table, so the
+// safe there because both kernels produce *pruning thresholds only*:
+// no value they compute is ever written to the DP table, so the
 // exact-tie-breaking contract of the solver cannot be perturbed.
 //
-// Preconditions: b0 < e, and every input in [b0, e) is finite (the solver
-// only scans candidates whose previous-row cost is finite).
+// Kernel preconditions: b0 < e, and every input in [b0, e) is finite (the
+// solver only scans candidates whose previous-row cost is finite).
+
+/// Interval-length reciprocals rr are inflated by 1 + 2^-40 so that
+/// (sum*sum) * rr >= fl((sum*sum) / length) under any rounding — including
+/// any FMA contraction of the kernel expression: the inflation dominates
+/// the relative rounding error of the reciprocal and of the product (each
+/// ~2^-53) by orders of magnitude, while remaining far too small to cost
+/// measurable pruning. This is what makes the squared bounds *certified* —
+/// never above the exact candidate — rather than merely close (DESIGN §7
+/// gives the full argument).
+constexpr double kReciprocalInflate = 1.0 + 0x1p-40;
 
 /// min over j in [b0, e) of
 ///   max(prev[j], prev[j] + ((qi - csq[j]) - (si - csum[j])^2 * rr[j]))
 /// — the certified lower bound on the squared-cost DP candidate
 /// prev[j] + CostBetween(j, i), where si/qi are the prefix sum/sum of
 /// squares at candidate i and rr[j] is the *inflated* reciprocal of the
-/// interval length (see kReciprocalInflate in vopt_dp.cc). The bound never
-/// exceeds the exact candidate, for any rounding or FMA contraction of
-/// this expression (DESIGN §7 gives the argument).
+/// interval length (kReciprocalInflate). The bound never exceeds the exact
+/// candidate, for any rounding or FMA contraction of this expression
+/// (DESIGN §7 gives the argument).
 double SquaredLowerBoundBlockMin(const double* prev, const double* csum,
                                  const double* csq, const double* rr,
                                  double si, double qi, std::size_t b0,
                                  std::size_t e);
+
+/// Slack that certifies SquaredBlockLowerBound: an upper bound on how far
+/// a computed CostBetween(j, i) can fall below a computed CostBetween(j', i)
+/// for j <= j', plus the rounding of the block bound's own sum. DESIGN §7
+/// derives 32 * (sqrt(n) + 2) * 2^-53 * total_squares from the Kahan error
+/// of the prefix tables and the rounding of the cost formula, where
+/// `total_squares` is csq[m] (the prefix sum of squares over the whole
+/// domain) and `n` the domain size in unit bins. The proof assumes
+/// n <= 2^30; beyond that the slack is the largest double, so no block is
+/// ever skipped.
+inline double SquaredCostSlack(double total_squares, std::size_t n) {
+  if (n > (std::size_t{1} << 30)) {
+    return std::numeric_limits<double>::max();
+  }
+  return 32.0 * (std::sqrt(static_cast<double>(n)) + 2.0) * 0x1p-53 *
+         total_squares;
+}
+
+/// Certified lower bound on prev[j] + CostBetween(j, i) for every j of a
+/// block of candidates ending at `last` (DESIGN §7). `prev_min` must not
+/// exceed prev[j] anywhere in the block. An interval's SSE only grows as
+/// its start moves left, so every candidate's cost is at least the
+/// block's shortest interval cost (last, i) — bounded from below with the
+/// kernel's inflated reciprocal rr — less `slack` =
+/// SquaredCostSlack(csq[m], n) for floating-point rounding. One O(1)
+/// check stands in for the whole block. Inline, so it compiles with the
+/// caller's strict FP flags rather than this kernel TU's.
+inline double SquaredBlockLowerBound(double prev_min, const double* csum,
+                                     const double* csq, const double* rr,
+                                     double si, double qi, std::size_t last,
+                                     double slack) {
+  const double sum = si - csum[last];
+  const double cost = (qi - csq[last]) - (sum * sum) * rr[last];
+  return (prev_min + (cost > 0.0 ? cost : 0.0)) - slack;
+}
 
 /// min over j in [b0, e) of prev[j] + col[j] — the *exact* candidate block
 /// minimum for the absolute cost, where col is the packed triangular

@@ -5,24 +5,35 @@
 // leftmost-argmin tie-breaking — at any thread count. The adversarial
 // cases are tie plateaus (constant and piecewise-constant counts), where
 // a single mis-ordered comparison in the pruning rules would silently
-// move a published cut.
+// move a published cut. The capped squared-cost inputs add the exact
+// cold-publish solve shape and the inputs that stress the O(1) block bound
+// (cancellation, sign-alternating magnitudes, isolated spikes, an
+// off-grid endpoint), and a direct property test certifies the block
+// bound itself on every row, cell and block of those solves.
 
 #include "dphist/hist/vopt_dp.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dphist/common/thread_pool.h"
+#include "dphist/data/generators.h"
 #include "dphist/hist/interval_cost.h"
+#include "dphist/hist/vopt_kernel.h"
 #include "dphist/random/distributions.h"
 #include "dphist/random/rng.h"
 
 namespace dphist {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::vector<double> UniformCounts(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -63,16 +74,83 @@ std::vector<double> PiecewiseConstantCounts(std::size_t n,
   return counts;
 }
 
-// Solves with an explicit strategy/pool and max_buckets = 0 (the full
+std::vector<double> ColdShapeCounts() {
+  // The cold_publish solve: the network-trace histogram at n = 1024 plus
+  // the Laplace noise NoiseFirst adds at epsilon = 0.1 (scale 10).
+  std::vector<double> counts = MakeNetTrace(1024, 42).histogram.counts();
+  Rng rng(5);
+  for (double& c : counts) {
+    c += SampleLaplace(rng, 10.0);
+  }
+  return counts;
+}
+
+std::vector<double> CancellationCounts(std::size_t n, std::uint64_t seed) {
+  // 1e8 plus small integers: the squares near 1e16 make csq[m], and with
+  // it the slack, far larger than any SSE here, and the costs of small
+  // intervals come out of cancelling differences. No block bound can
+  // prune; the per-candidate bounds and skip rules must still give a
+  // bit-identical table.
+  Rng rng(seed);
+  std::vector<double> counts(n);
+  for (double& c : counts) {
+    c = 1e8 + static_cast<double>(SampleUniformInt(rng, 0, 9));
+  }
+  return counts;
+}
+
+std::vector<double> LargeHeadCounts(std::size_t n, std::uint64_t seed) {
+  // A few bins at 1e8 ahead of small integers: every later prefix of
+  // squares sits near 4e16, where one ulp is 8, so the costs of the small
+  // intervals after the head are rounding-quantized and no longer grow
+  // monotonically as their start moves left. The inflated reciprocal adds
+  // no margin there (the local means are small), so only the slack keeps
+  // the block bound certified.
+  Rng rng(seed);
+  std::vector<double> counts(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    counts[t] = static_cast<double>(SampleUniformInt(rng, 0, 9)) +
+                (t < 4 ? 1e8 : 0.0);
+  }
+  return counts;
+}
+
+std::vector<double> AlternatingCounts(std::size_t n, std::uint64_t seed) {
+  // Values alternating around +-1e6: huge squares, prefix sums that swing
+  // back to near zero, and interval costs dominated by the swing.
+  Rng rng(seed);
+  std::vector<double> counts(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const double jitter = static_cast<double>(SampleUniformInt(rng, 0, 1000));
+    counts[t] = (t % 2 == 0 ? 1e6 : -1e6) + jitter;
+  }
+  return counts;
+}
+
+std::vector<double> SpikeCounts(std::size_t n, std::uint64_t seed) {
+  // Isolated spikes up to 5e4 on a zero background: long zero-cost runs
+  // between very expensive ones, so whole blocks are dismissed by their
+  // O(1) bound and the row minimum hides in few places.
+  Rng rng(seed);
+  std::vector<double> counts(n, 0.0);
+  for (double& c : counts) {
+    if (SampleUniformInt(rng, 0, 39) == 0) {
+      c = static_cast<double>(SampleUniformInt(rng, 1, 50000));
+    }
+  }
+  return counts;
+}
+
+// Solves with an explicit strategy/pool and bucket cap (0 = the full
 // table: every k up to m), min_parallel_candidates = 1 so a multi-thread
 // pool genuinely parallelizes even tiny rows.
 VOptSolver SolveWith(const IntervalCostTable& costs, VOptStrategy strategy,
-                     ThreadPool* pool) {
+                     ThreadPool* pool, std::size_t max_buckets = 0) {
   VOptSolver::SolveOptions options;
   options.strategy = strategy;
   options.pool = pool;
   options.min_parallel_candidates = 1;
-  auto solver = VOptSolver::Solve(costs, 0, options);
+  auto solver = VOptSolver::Solve(costs, max_buckets, options);
   EXPECT_TRUE(solver.ok()) << solver.status().message();
   return solver.value();
 }
@@ -100,12 +178,35 @@ void ExpectBitIdentical(const VOptSolver& naive, const VOptSolver& monotone,
   }
 }
 
-// The full cross-product: both cost kinds, grid steps 1 and 3, sequential
-// and 4-thread monotone runs against a sequential naive reference.
-void CheckAllConfigs(const std::vector<double>& counts,
-                     const std::string& data_label) {
+// Naive (sequential) vs monotone at pool widths 1 and 4, bitwise.
+void CheckEquivalent(const IntervalCostTable& costs, std::size_t max_buckets,
+                     const std::string& label) {
   ThreadPool sequential(1);
   ThreadPool parallel(4);
+  const VOptSolver naive =
+      SolveWith(costs, VOptStrategy::kNaive, &sequential, max_buckets);
+  EXPECT_EQ(naive.stats().strategy, VOptStrategy::kNaive);
+  EXPECT_EQ(naive.stats().bound_scans, 0u);
+  const VOptSolver mono_seq =
+      SolveWith(costs, VOptStrategy::kMonotone, &sequential, max_buckets);
+  EXPECT_EQ(mono_seq.stats().strategy, VOptStrategy::kMonotone);
+  ExpectBitIdentical(naive, mono_seq, label + "/threads1");
+  const VOptSolver mono_par =
+      SolveWith(costs, VOptStrategy::kMonotone, &parallel, max_buckets);
+  ExpectBitIdentical(naive, mono_par, label + "/threads4");
+  // The monotone work counters are part of the determinism contract:
+  // identical at any thread count (chunking never changes which
+  // candidates a cell scans or evaluates).
+  EXPECT_EQ(mono_seq.stats().cost_lookups, mono_par.stats().cost_lookups)
+      << label;
+  EXPECT_EQ(mono_seq.stats().bound_scans, mono_par.stats().bound_scans)
+      << label;
+}
+
+// The full cross-product: both cost kinds and grid steps 1 and 3, full
+// tables.
+void CheckAllConfigs(const std::vector<double>& counts,
+                     const std::string& data_label) {
   for (const CostKind kind : {CostKind::kSquared, CostKind::kAbsolute}) {
     for (const std::size_t grid_step : {std::size_t{1}, std::size_t{3}}) {
       IntervalCostTable::Options options;
@@ -113,28 +214,153 @@ void CheckAllConfigs(const std::vector<double>& counts,
       options.grid_step = grid_step;
       auto costs = IntervalCostTable::Create(counts, options);
       ASSERT_TRUE(costs.ok());
-      const std::string label = data_label + "/" + CostKindName(kind) +
-                                "/grid" + std::to_string(grid_step);
-      const VOptSolver naive =
-          SolveWith(costs.value(), VOptStrategy::kNaive, &sequential);
-      EXPECT_EQ(naive.stats().strategy, VOptStrategy::kNaive);
-      EXPECT_EQ(naive.stats().bound_scans, 0u);
-      const VOptSolver mono_seq =
-          SolveWith(costs.value(), VOptStrategy::kMonotone, &sequential);
-      EXPECT_EQ(mono_seq.stats().strategy, VOptStrategy::kMonotone);
-      ExpectBitIdentical(naive, mono_seq, label + "/threads1");
-      const VOptSolver mono_par =
-          SolveWith(costs.value(), VOptStrategy::kMonotone, &parallel);
-      ExpectBitIdentical(naive, mono_par, label + "/threads4");
-      // The monotone work counters are part of the determinism contract:
-      // identical at any thread count (chunking never changes which
-      // candidates a cell scans or evaluates).
-      EXPECT_EQ(mono_seq.stats().cost_lookups, mono_par.stats().cost_lookups)
-          << label;
-      EXPECT_EQ(mono_seq.stats().bound_scans, mono_par.stats().bound_scans)
-          << label;
+      CheckEquivalent(costs.value(), 0,
+                      data_label + "/" + CostKindName(kind) + "/grid" +
+                          std::to_string(grid_step));
     }
   }
+}
+
+IntervalCostTable SquaredCosts(const std::vector<double>& counts,
+                               std::size_t grid_step) {
+  IntervalCostTable::Options options;
+  options.grid_step = grid_step;
+  auto costs = IntervalCostTable::Create(counts, options);
+  EXPECT_TRUE(costs.ok());
+  return std::move(costs).value();
+}
+
+struct CappedInput {
+  std::string label;
+  std::vector<double> counts;
+  std::size_t grid_step;
+  std::size_t max_buckets;
+};
+
+std::vector<CappedInput> CappedInputs() {
+  return {
+      {"cold_shape", ColdShapeCounts(), 1, 256},
+      {"cancellation", CancellationCounts(300, 11), 1, 64},
+      {"large_head", LargeHeadCounts(300, 15), 1, 64},
+      {"alternating", AlternatingCounts(300, 12), 1, 64},
+      {"spikes", SpikeCounts(700, 13), 1, 96},
+      // n = 601 is not a multiple of 3: the final cell of every row takes
+      // the naive scan, every other cell the block bounds.
+      {"grid3_offgrid_end", NoisyCounts(601, 14), 3, 64},
+  };
+}
+
+// Replays the solver's block walk over a finished naive table and checks
+// vopt_kernel::SquaredBlockLowerBound directly: for every row k, cell i,
+// 64-candidate block and 8-candidate sub-block (anchored at k-1, as the
+// solver walks them), the bound must not exceed the block's minimum of
+// prev[j] + CostBetween(j, i). The prev floor passed in is the exact
+// minimum over the candidates the block covers — the largest floor the
+// solver can ever pass (it may use a minimum over a superset), so this
+// is the strictest form of the check. The bitwise battery only notices a
+// too-small slack when a skipped block held the argmin; this catches any
+// violation.
+void CheckBlockBoundCertified(const CappedInput& input) {
+  ThreadPool sequential(1);
+  const IntervalCostTable costs = SquaredCosts(input.counts, input.grid_step);
+  const VOptSolver naive = SolveWith(costs, VOptStrategy::kNaive, &sequential,
+                                     input.max_buckets);
+  const std::size_t m = costs.num_candidates();
+  const std::size_t grid = costs.grid_step();
+  const std::vector<std::size_t>& positions = costs.positions();
+  std::vector<double> csum(m + 1), csq(m + 1), rrev(m + 1, 0.0);
+  for (std::size_t j = 0; j <= m; ++j) {
+    csum[j] = costs.prefix_sums()[positions[j]];
+    csq[j] = costs.prefix_squares()[positions[j]];
+  }
+  for (std::size_t d = 1; d <= m; ++d) {
+    rrev[m - d] =
+        (1.0 / (static_cast<double>(d) * static_cast<double>(grid))) *
+        vopt_kernel::kReciprocalInflate;
+  }
+  const double slack =
+      vopt_kernel::SquaredCostSlack(csq[m], costs.domain_size());
+  // The off-grid final cell is solved naively, never with a block bound.
+  const std::size_t bound_end = positions[m] == m * grid ? m + 1 : m;
+
+  std::uint64_t checks = 0;
+  std::uint64_t violations = 0;
+  std::string first_violation;
+  auto check = [&](double prev_min, double cand_min, const double* rr,
+                   std::size_t i, std::size_t first, std::size_t last,
+                   std::size_t k) {
+    const double bound = vopt_kernel::SquaredBlockLowerBound(
+        prev_min, csum.data(), csq.data(), rr, csum[i], csq[i], last, slack);
+    ++checks;
+    if (bound > cand_min) {
+      if (violations++ == 0) {
+        first_violation = "k=" + std::to_string(k) + " i=" +
+                          std::to_string(i) + " block [" +
+                          std::to_string(first) + ", " + std::to_string(last) +
+                          "]: bound " + std::to_string(bound) + " > " +
+                          std::to_string(cand_min);
+      }
+    }
+  };
+  std::vector<double> prev(m + 1);
+  for (std::size_t k = 2; k <= naive.max_buckets(); ++k) {
+    for (std::size_t j = 0; j <= m; ++j) {
+      prev[j] = naive.PrefixCost(k - 1, j);
+    }
+    for (std::size_t i = k; i < bound_end; ++i) {
+      const double* rr = rrev.data() + (m - i);
+      for (std::size_t b0 = k - 1; b0 < i; b0 += 64) {
+        const std::size_t e = std::min(i, b0 + 64);
+        double block_prev = kInf;
+        double block_cand = kInf;
+        for (std::size_t s0 = b0; s0 < e; s0 += 8) {
+          const std::size_t s1 = std::min(e, s0 + 8);
+          double sub_prev = kInf;
+          double sub_cand = kInf;
+          for (std::size_t j = s0; j < s1; ++j) {
+            sub_prev = std::min(sub_prev, prev[j]);
+            sub_cand = std::min(sub_cand, prev[j] + costs.CostBetween(j, i));
+          }
+          check(sub_prev, sub_cand, rr, i, s0, s1 - 1, k);
+          block_prev = std::min(block_prev, sub_prev);
+          block_cand = std::min(block_cand, sub_cand);
+        }
+        check(block_prev, block_cand, rr, i, b0, e - 1, k);
+      }
+    }
+  }
+  EXPECT_GT(checks, 0u) << input.label;
+  EXPECT_EQ(violations, 0u) << input.label << ": " << violations << " of "
+                            << checks << " block bounds exceed their block "
+                            << "minimum; first at " << first_violation;
+}
+
+TEST(VOptMonotoneTest, CappedSquaredInputsBitIdentical) {
+  for (const CappedInput& input : CappedInputs()) {
+    CheckEquivalent(SquaredCosts(input.counts, input.grid_step),
+                    input.max_buckets, input.label);
+  }
+}
+
+TEST(VOptMonotoneTest, BlockBoundNeverExceedsBlockMinimum) {
+  for (const CappedInput& input : CappedInputs()) {
+    CheckBlockBoundCertified(input);
+  }
+}
+
+TEST(VOptMonotoneTest, ColdShapeSkipsMostBoundScans) {
+  // The block bound must dismiss most candidates before the SIMD kernel
+  // reads them: on the cold_publish solve, kernel scans stay below a third
+  // of the naive path's exact lookups. A per-candidate bound without block
+  // skipping scans nearly all of them.
+  ThreadPool sequential(1);
+  const IntervalCostTable costs = SquaredCosts(ColdShapeCounts(), 1);
+  const VOptSolver naive =
+      SolveWith(costs, VOptStrategy::kNaive, &sequential, 256);
+  const VOptSolver mono =
+      SolveWith(costs, VOptStrategy::kMonotone, &sequential, 256);
+  EXPECT_LT(mono.stats().bound_scans, naive.stats().cost_lookups / 3);
+  EXPECT_LT(mono.stats().cost_lookups, naive.stats().cost_lookups / 10);
 }
 
 TEST(VOptMonotoneTest, UniformRandomCounts) {

@@ -12,8 +12,8 @@ exits non-zero on regression:
   tools/check_bench_regression.py --capture bench-rows.jsonl \
       --out BENCH_BASELINE.json
 
-  # Check: exit 1 if any timing metric regressed beyond --max-ratio or
-  # any quality metric drifted beyond --metric-rtol.
+  # Check: exit 1 if any timing metric moved beyond --max-ratio in either
+  # direction or any quality metric drifted beyond --metric-rtol.
   tools/check_bench_regression.py --baseline BENCH_BASELINE.json \
       --fresh bench-rows.jsonl --max-ratio 5 --metric-rtol 0.05
 
@@ -23,10 +23,18 @@ gated by a generous fresh/baseline *ratio*. Quality metrics (mae, kl,
 relative tolerance; a drift there means the algorithms changed behavior,
 not that the machine was slow.
 
+The timing ratio is checked both ways. A fresh value above
+--max-ratio x baseline is a slowdown. A fresh value below
+baseline / --max-ratio, on a metric whose baseline is above
+--timing-floor-ms, means the row got much faster and its baseline is
+stale: re-capture it, or a later slowdown of the same size would still
+pass the gate.
+
 --inject-slowdown N multiplies every fresh timing metric by N before the
-comparison. CI uses it to prove the gate actually trips: comparing a
-baseline against itself with --inject-slowdown 5 --max-ratio 4 must fail
-on any machine.
+comparison. CI uses it to prove both directions of the gate trip:
+comparing a baseline against itself with --inject-slowdown 5
+--max-ratio 4 must fail on any machine, and so must --inject-slowdown
+0.2 --max-ratio 4 --timing-floor-ms 0.
 """
 
 import argparse
@@ -243,6 +251,12 @@ def check(args):
                     failures.append(
                         f"{key}: {field} {fresh_value:.4g} > "
                         f"{args.max_ratio}x baseline {base_value:.4g}")
+                elif (base_value > args.timing_floor_ms
+                        and fresh_value < base_value / args.max_ratio):
+                    failures.append(
+                        f"{key}: {field} {fresh_value:.4g} < baseline "
+                        f"{base_value:.4g} / {args.max_ratio} — the row got "
+                        f"much faster; re-capture its baseline")
             else:
                 tolerance = args.metric_rtol * max(abs(base_value), 1e-12)
                 if abs(fresh_value - base_value) > tolerance:
@@ -272,11 +286,13 @@ def main():
     parser.add_argument("--fresh", nargs="+",
                         help="fresh bench rows file(s) to check")
     parser.add_argument("--max-ratio", type=float, default=5.0,
-                        help="max fresh/baseline ratio for *_ms metrics")
+                        help="max fresh/baseline (and baseline/fresh) "
+                             "ratio for *_ms metrics")
     parser.add_argument("--metric-rtol", type=float, default=0.05,
                         help="relative tolerance for quality metrics")
     parser.add_argument("--timing-floor-ms", type=float, default=5.0,
-                        help="ignore timing metrics below this many ms")
+                        help="ignore timing metrics below this many ms "
+                             "(fresh for slowdowns, baseline for speed-ups)")
     parser.add_argument("--inject-slowdown", type=float, default=1.0,
                         help="multiply fresh timings by N (gate self-test)")
     args = parser.parse_args()
