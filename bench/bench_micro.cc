@@ -221,10 +221,12 @@ void RunNoiseBatchTable(dphist_bench::BenchJsonWriter& json) {
 
 // The M1 strategy table: per (shape, strategy), the median wall time of a
 // solve plus the solver's deterministic work counters. The shapes are the
-// 64-bucket solve over uniform worst-case counts at three domain sizes,
-// and the cold_publish solve — NoiseFirst's 256-bucket search over the
-// network trace plus epsilon = 0.1 Laplace noise at n = 1024. Emitted as
-// bench JSON so the regression gate holds both the timing ratio and —
+// 64-bucket squared-cost solve over uniform worst-case counts at three
+// domain sizes, the cold_publish solve — NoiseFirst's 256-bucket
+// squared-cost search over the network trace plus epsilon = 0.1 Laplace
+// noise at n = 1024 — and the herd solve, StructureFirst's 128-bucket
+// absolute-cost search over the true network trace at n = 1024. Emitted
+// as bench JSON so the regression gate holds both the timing ratio and —
 // tightly — the pruning behavior (a jump in cost_lookups or bound_scans
 // means the bounds or the skip rules changed).
 void RunVOptStrategyTable(dphist_bench::BenchJsonWriter& json) {
@@ -233,6 +235,7 @@ void RunVOptStrategyTable(dphist_bench::BenchJsonWriter& json) {
     std::vector<double> counts;
     std::size_t k;
     double epsilon;  // 0 = noiseless
+    dphist::CostKind cost = dphist::CostKind::kSquared;
   };
   std::vector<double> cold = dphist::MakeNetTrace(1024, 42).histogram.counts();
   dphist::Rng noise_rng(5);
@@ -245,10 +248,14 @@ void RunVOptStrategyTable(dphist_bench::BenchJsonWriter& json) {
     shapes.push_back({"uniform", RandomCounts(n), 64, 0.0});
   }
   shapes.push_back({"nettrace", std::move(cold), 256, 0.1});
+  std::vector<double> herd = dphist::MakeNetTrace(1024, 42).histogram.counts();
+  shapes.push_back(
+      {"nettrace", std::move(herd), 128, 0.0, dphist::CostKind::kAbsolute});
 
   const std::size_t reps = dphist_bench::Repetitions();
   for (const Shape& shape : shapes) {
     dphist::IntervalCostTable::Options options;
+    options.kind = shape.cost;
     auto table = dphist::IntervalCostTable::Create(shape.counts, options);
     double naive_ms = 0.0;
     for (const dphist::VOptStrategy strategy :
@@ -272,6 +279,7 @@ void RunVOptStrategyTable(dphist_bench::BenchJsonWriter& json) {
                      .Str("fig", "m1_vopt")
                      .Str("algo", "vopt_solve")
                      .Str("dataset", shape.dataset)
+                     .Str("cost", dphist::CostKindName(shape.cost))
                      .Str("strategy", dphist::VOptStrategyName(strategy))
                      .Num("n", static_cast<double>(shape.counts.size()))
                      .Num("k", static_cast<double>(shape.k))

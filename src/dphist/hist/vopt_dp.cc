@@ -179,45 +179,87 @@ void MonotoneSquaredCells(const IntervalCostTable& costs,
   }
 }
 
-// Absolute-cost analogue: the packed triangular column of end candidate i
-// is contiguous in j, so the kernel takes an *exact* block min over
-// prev[j] + col[j] directly — no bound arithmetic, no reciprocals, and the
-// same two skip rules and ascending strict-'<' rescan as above.
+// Shared read-only inputs of the monotone absolute path, valid for one row.
+struct AbsoluteBoundTables {
+  const double* suffmin;  // suffix minima of the previous row
+  // Minima of the previous row over aligned kBoundBlock blocks:
+  // block_min[q] covers [max(k-1, q*kBoundBlock), min(m, (q+1)*kBoundBlock)).
+  const double* block_min;
+  // vopt_kernel::AbsoluteColumnBlockMinima over the same aligned blocks;
+  // column i's minima start at col_min + i * col_stride.
+  const double* col_min;
+  std::size_t col_stride;
+  const std::int32_t* prev_par;  // argmins of the previous row
+};
+
+// Absolute-cost analogue of MonotoneSquaredCells, under the same
+// tie-breaking contract. The packed triangular column of end candidate i
+// is contiguous in j, so every bound here is built from exact minima: a
+// block's bound block_min + col_min never exceeds any prev[j] + col[j] it
+// covers, because rounding is monotone — no slack and no reciprocals. The
+// kernel's block minimum is itself an exact candidate, so the rescan of a
+// surviving block stops at its leftmost achiever (DESIGN §7).
 void MonotoneAbsoluteCells(const IntervalCostTable& costs,
-                           const double* suffmin, const double* prev,
+                           const AbsoluteBoundTables& t, const double* prev,
                            double* curr, std::int32_t* par, std::size_t k,
                            std::size_t begin, std::size_t end,
                            std::uint64_t* lookups, std::uint64_t* scans) {
+  const std::size_t base = k - 1;
   for (std::size_t i = begin; i < end; ++i) {
     const double* col = costs.AbsoluteColumn(i);
-    double ub = prev[i - 1] + col[i - 1];  // exact seed; never fed to best
+    const double* col_min = t.col_min + i * t.col_stride;
+    // Exact, chunk-independent ub seeds that never touch `best`, as on the
+    // squared path: j = i-1 and the previous row's argmin at i.
+    double ub = prev[i - 1] + col[i - 1];
     ++*lookups;
+    const std::int32_t seed = t.prev_par[i];
+    if (seed >= static_cast<std::int32_t>(base) &&
+        static_cast<std::size_t>(seed) + 2 <= i) {
+      const auto j = static_cast<std::size_t>(seed);
+      const double candidate = prev[j] + col[j];
+      ++*lookups;
+      ub = candidate < ub ? candidate : ub;
+    }
     double best = kInfinity;
     std::int32_t bj = -1;
-    for (std::size_t b0 = k - 1; b0 < i; b0 += kBoundBlock) {
-      if (suffmin[b0] > ub || suffmin[b0] >= best) {
+    // Blocks are aligned to multiples of kBoundBlock, so the row's first
+    // block starts at k-1 and the cell's last one ends at i: both are
+    // subsets of the aligned blocks the minima cover.
+    for (std::size_t q = base / kBoundBlock; q * kBoundBlock < i; ++q) {
+      const std::size_t b0 = std::max(base, q * kBoundBlock);
+      if (t.suffmin[b0] > ub || t.suffmin[b0] >= best) {
         break;
       }
-      const std::size_t e = std::min(i, b0 + kBoundBlock);
+      const double block_lb = t.block_min[q] + col_min[q];
+      if (block_lb > ub || block_lb >= best) {
+        continue;  // dismissed without reading the block's candidates
+      }
+      const std::size_t e = std::min(i, (q + 1) * kBoundBlock);
       *scans += e - b0;
       const double bmin =
           vopt_kernel::AbsoluteCandidateBlockMin(prev, col, b0, e);
       if (bmin > ub || bmin >= best) {
         continue;
       }
-      for (std::size_t j = b0; j < e; ++j) {
-        const double candidate = prev[j] + col[j];
-        ++*lookups;
-        if (candidate < ub) {
-          ub = candidate;
-        }
-        if (candidate < best) {
-          best = candidate;
-          bj = static_cast<std::int32_t>(j);
-        }
+      // bmin improves the cell and is the exact sum of some candidate in
+      // the block, so the first j that reproduces it is the block's
+      // leftmost argmin; nothing past it needs evaluating.
+      std::size_t j = b0;
+      while (j < e && prev[j] + col[j] != bmin) {
+        ++j;
       }
+      *lookups += std::min(j + 1, e) - b0;
+      if (j == e) {
+        bj = -1;  // the kernel disagreed with the scalar sums: solve naively
+        break;
+      }
+      best = prev[j] + col[j];
+      bj = static_cast<std::int32_t>(j);
+      ub = best < ub ? best : ub;
     }
     if (bj < 0) {
+      // Unreachable by the DESIGN §7 argument; kept so a kernel or bound
+      // regression degrades to a naive scan instead of corrupting the table.
       *lookups += NaiveCell(costs, prev, curr, par, k, i);
       continue;
     }
@@ -361,7 +403,9 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
   // prefix tables at the candidate positions so the kernel streams them
   // contiguously; rrev holds inflated reciprocals addressed by
   // rr = rrev + (m - i), making rr[j] the reciprocal of length (i - j).
-  std::vector<double> csum, csq, rrev, suffmin, block_min, sub_min;
+  // col_min holds the absolute path's exact column minima over aligned
+  // blocks (one O(m^2) read of the triangle).
+  std::vector<double> csum, csq, rrev, suffmin, block_min, sub_min, col_min;
   double slack = 0.0;
   if (monotone_squared) {
     const std::vector<double>& sums = costs.prefix_sums();
@@ -380,10 +424,12 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
     }
     slack = vopt_kernel::SquaredCostSlack(csq[m], costs.domain_size());
     sub_min.resize(m / kSubBlock + 1);
-    block_min.resize(m / kBoundBlock + 1);
+  } else if (monotone) {
+    col_min = vopt_kernel::AbsoluteColumnBlockMinima(costs, kBoundBlock);
   }
   if (monotone) {
     suffmin.resize(m + 1);
+    block_min.resize(m / kBoundBlock + 1);
   }
 
   obs::ScopedTimer rows_timer("dp_rows");  // -> vopt/solve/dp_rows
@@ -415,6 +461,15 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
             sub_min.data() + q * kSubsPerBlock,
             sub_min.data() + std::min(subs, (q + 1) * kSubsPerBlock));
       }
+    } else if (monotone) {
+      // The absolute path's blocks are aligned to multiples of kBoundBlock
+      // instead, matching the per-solve column minima; the first block is
+      // clipped to start at k-1.
+      for (std::size_t q = (k - 1) / kBoundBlock; q * kBoundBlock < m; ++q) {
+        block_min[q] = *std::min_element(
+            prev + std::max(k - 1, q * kBoundBlock),
+            prev + std::min(m, (q + 1) * kBoundBlock));
+      }
     }
     // Cells the squared kernel covers; when the domain end is not
     // grid-aligned the final cell's last interval has an off-grid length,
@@ -437,8 +492,11 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
         MonotoneSquaredCells(costs, tables, prev, curr, par, k, begin, end,
                              &lookups, &scans);
       } else if (monotone) {
-        MonotoneAbsoluteCells(costs, suffmin.data(), prev, curr, par, k,
-                              begin, end, &lookups, &scans);
+        const AbsoluteBoundTables tables{suffmin.data(), block_min.data(),
+                                         col_min.data(), m / kBoundBlock + 1,
+                                         &solver.parent_[(k - 1) * width]};
+        MonotoneAbsoluteCells(costs, tables, prev, curr, par, k, begin, end,
+                              &lookups, &scans);
       } else {
         for (std::size_t i = begin; i < end; ++i) {
           lookups += NaiveCell(costs, prev, curr, par, k, i);

@@ -1,5 +1,6 @@
 #include "dphist/hist/vopt_kernel.h"
 
+#include <algorithm>
 #include <limits>
 
 // Runtime multi-versioning: the default clone keeps the portable baseline
@@ -49,6 +50,27 @@ double AbsoluteCandidateBlockMin(const double* __restrict prev,
     mn = cand < mn ? cand : mn;
   }
   return mn;
+}
+
+DPHIST_VOPT_KERNEL_CLONES
+std::vector<double> AbsoluteColumnBlockMinima(const IntervalCostTable& costs,
+                                              std::size_t block) {
+  const std::size_t m = costs.num_candidates();
+  const std::size_t stride = m / block + 1;
+  std::vector<double> out((m + 1) * stride, 0.0);
+  for (std::size_t i = 1; i <= m; ++i) {
+    const double* __restrict col = costs.AbsoluteColumn(i);
+    double* __restrict row = out.data() + i * stride;
+    for (std::size_t q = 0; q * block < i; ++q) {
+      const std::size_t e = std::min(i, (q + 1) * block);
+      double mn = std::numeric_limits<double>::max();
+      for (std::size_t j = q * block; j < e; ++j) {
+        mn = col[j] < mn ? col[j] : mn;
+      }
+      row[q] = mn;
+    }
+  }
+  return out;
 }
 
 }  // namespace vopt_kernel

@@ -4,18 +4,21 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <vector>
+
+#include "dphist/hist/interval_cost.h"
 
 namespace dphist {
 namespace vopt_kernel {
 
 // Bound kernels for the monotone v-opt row solver (DESIGN §7).
 //
-// The two out-of-line block-min kernels live in vopt_kernel.cc. That
+// The out-of-line block-min kernels live in vopt_kernel.cc. That
 // translation unit is compiled with -ffinite-math-only
 // -fno-signed-zeros (see src/CMakeLists.txt) so the compiler vectorizes
 // the floating-point min reductions, with target_clones dispatching to
 // AVX2/AVX-512 at runtime where available. The relaxed FP semantics are
-// safe there because both kernels produce *pruning thresholds only*:
+// safe there because the kernels produce *pruning thresholds only*:
 // no value they compute is ever written to the DP table, so the
 // exact-tie-breaking contract of the solver cannot be perturbed.
 //
@@ -83,8 +86,22 @@ inline double SquaredBlockLowerBound(double prev_min, const double* csum,
 /// min over j in [b0, e) of prev[j] + col[j] — the *exact* candidate block
 /// minimum for the absolute cost, where col is the packed triangular
 /// column col[j] = AbsoluteAt(j, i) (IntervalCostTable::AbsoluteColumn).
+/// The result is one of the sums it covers, bit for bit.
 double AbsoluteCandidateBlockMin(const double* prev, const double* col,
                                  std::size_t b0, std::size_t e);
+
+/// Exact minima of every absolute-cost column over aligned blocks of
+/// `block` candidates, built once per solve for the absolute block bound
+/// (DESIGN §7). With m = costs.num_candidates() and stride m / block + 1,
+/// the result has (m + 1) * stride slots, and for every end candidate i in
+/// [1, m] and every q with q * block < i
+///   out[i * stride + q] = min of costs.AbsoluteColumn(i)[j]
+///                         over j in [q * block, min(i, (q + 1) * block)).
+/// The last block of a column is partial when block does not divide i.
+/// Other slots are zero. Each minimum is one of the costs it covers.
+/// Requires costs.kind() == CostKind::kAbsolute and block >= 1.
+std::vector<double> AbsoluteColumnBlockMinima(const IntervalCostTable& costs,
+                                              std::size_t block);
 
 }  // namespace vopt_kernel
 }  // namespace dphist

@@ -100,8 +100,15 @@ bool HttpParser::ParseHeaderBlock(std::string_view head) {
     if (colon == std::string_view::npos || colon == 0) {
       return false;
     }
-    message_.headers[ToLower(line.substr(0, colon))] =
-        std::string(Trim(line.substr(colon + 1)));
+    const auto [field, inserted] =
+        message_.headers.try_emplace(ToLower(line.substr(0, colon)));
+    // A repeated Content-Length gives one message two framings — the
+    // request-smuggling shape RFC 9112 §6.3 says to reject, even when the
+    // values agree. (A comma list in one field fails the digit parse.)
+    if (!inserted && field->first == "content-length") {
+      return false;
+    }
+    field->second = std::string(Trim(line.substr(colon + 1)));
   }
   return true;
 }

@@ -36,7 +36,8 @@ struct HttpMessage {
   int status = 0;
   std::string reason;
 
-  /// Header fields, names lower-cased; later duplicates overwrite.
+  /// Header fields, names lower-cased; later duplicates overwrite, except
+  /// that a repeated Content-Length fails the parse with 400.
   std::map<std::string, std::string> headers;
   std::string body;
 

@@ -167,8 +167,12 @@ class SparseCsvTest : public ::testing::Test {
     }
   }
 
+  // One file per test: ctest runs each case as its own process, so cases
+  // of this fixture can run at the same time under `ctest -j`.
   const std::string& WriteFile(const std::string& contents) {
-    path_ = ::testing::TempDir() + "/sparse_csv_test.csv";
+    path_ = ::testing::TempDir() + "/sparse_csv_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
     std::ofstream out(path_);
     out << contents;
     return path_;

@@ -143,7 +143,11 @@ TEST(SparseServeTest, BudgetRefusalDegradesToNewestCachedRelease) {
 class SparseJournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/sparse_serve_journal.jnl";
+    // One file per test: ctest runs each case as its own process, so
+    // cases of this fixture can run at the same time under `ctest -j`.
+    path_ = ::testing::TempDir() + "/sparse_serve_journal_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".jnl";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -9,7 +9,10 @@
 // cold-publish solve shape and the inputs that stress the O(1) block bound
 // (cancellation, sign-alternating magnitudes, isolated spikes, an
 // off-grid endpoint), and a direct property test certifies the block
-// bound itself on every row, cell and block of those solves.
+// bound itself on every row, cell and block of those solves. The capped
+// absolute-cost inputs do the same for StructureFirst's solve: the exact
+// herd solve shape, the column block minima against brute force, and the
+// aligned block bound replayed over finished naive tables.
 
 #include "dphist/hist/vopt_dp.h"
 
@@ -141,6 +144,12 @@ std::vector<double> SpikeCounts(std::size_t n, std::uint64_t seed) {
   return counts;
 }
 
+std::vector<double> HerdShapeCounts() {
+  // The herd solve: StructureFirst scores the true network-trace counts
+  // at n = 1024 (no noise before the structure is chosen).
+  return MakeNetTrace(1024, 42).histogram.counts();
+}
+
 // Solves with an explicit strategy/pool and bucket cap (0 = the full
 // table: every k up to m), min_parallel_candidates = 1 so a multi-thread
 // pool genuinely parallelizes even tiny rows.
@@ -221,13 +230,24 @@ void CheckAllConfigs(const std::vector<double>& counts,
   }
 }
 
-IntervalCostTable SquaredCosts(const std::vector<double>& counts,
-                               std::size_t grid_step) {
+IntervalCostTable MakeCosts(const std::vector<double>& counts, CostKind kind,
+                            std::size_t grid_step) {
   IntervalCostTable::Options options;
+  options.kind = kind;
   options.grid_step = grid_step;
   auto costs = IntervalCostTable::Create(counts, options);
   EXPECT_TRUE(costs.ok());
   return std::move(costs).value();
+}
+
+IntervalCostTable SquaredCosts(const std::vector<double>& counts,
+                               std::size_t grid_step) {
+  return MakeCosts(counts, CostKind::kSquared, grid_step);
+}
+
+IntervalCostTable AbsoluteCosts(const std::vector<double>& counts,
+                                std::size_t grid_step) {
+  return MakeCosts(counts, CostKind::kAbsolute, grid_step);
 }
 
 struct CappedInput {
@@ -246,6 +266,19 @@ std::vector<CappedInput> CappedInputs() {
       {"spikes", SpikeCounts(700, 13), 1, 96},
       // n = 601 is not a multiple of 3: the final cell of every row takes
       // the naive scan, every other cell the block bounds.
+      {"grid3_offgrid_end", NoisyCounts(601, 14), 3, 64},
+  };
+}
+
+std::vector<CappedInput> CappedAbsoluteInputs() {
+  return {
+      {"herd_shape", HerdShapeCounts(), 1, 128},
+      {"nettrace_n300", MakeNetTrace(300, 42).histogram.counts(), 1, 32},
+      {"spikes", SpikeCounts(700, 13), 1, 96},
+      {"cancellation", CancellationCounts(300, 11), 1, 64},
+      {"piecewise", PiecewiseConstantCounts(400, 4400), 1, 64},
+      // n = 601 is not a multiple of 3: the final candidate's intervals
+      // are one bin shorter than the grid.
       {"grid3_offgrid_end", NoisyCounts(601, 14), 3, 64},
   };
 }
@@ -333,6 +366,136 @@ void CheckBlockBoundCertified(const CappedInput& input) {
   EXPECT_EQ(violations, 0u) << input.label << ": " << violations << " of "
                             << checks << " block bounds exceed their block "
                             << "minimum; first at " << first_violation;
+}
+
+// The absolute-cost analogue of CheckBlockBoundCertified: replays the
+// aligned block walk over a finished naive table and checks, for every row
+// k, cell i and aligned 64-candidate block, that the solver's bound — the
+// previous row's minimum over the whole aligned block (clipped at k-1)
+// plus the column's minimum from vopt_kernel::AbsoluteColumnBlockMinima —
+// never exceeds the minimum of prev[j] + CostBetween(j, i) over the block's
+// candidates in the cell's range.
+void CheckAbsoluteBlockBoundCertified(const CappedInput& input) {
+  constexpr std::size_t kBlock = 64;
+  ThreadPool sequential(1);
+  const IntervalCostTable costs = AbsoluteCosts(input.counts, input.grid_step);
+  const VOptSolver naive = SolveWith(costs, VOptStrategy::kNaive, &sequential,
+                                     input.max_buckets);
+  const std::size_t m = costs.num_candidates();
+  const std::size_t stride = m / kBlock + 1;
+  const std::vector<double> col_min =
+      vopt_kernel::AbsoluteColumnBlockMinima(costs, kBlock);
+
+  std::uint64_t checks = 0;
+  std::uint64_t violations = 0;
+  std::string first_violation;
+  std::vector<double> prev(m + 1);
+  for (std::size_t k = 2; k <= naive.max_buckets(); ++k) {
+    for (std::size_t j = 0; j <= m; ++j) {
+      prev[j] = naive.PrefixCost(k - 1, j);
+    }
+    for (std::size_t i = k; i <= m; ++i) {
+      for (std::size_t q = (k - 1) / kBlock; q * kBlock < i; ++q) {
+        // The aligned block, clipped at k-1; the candidates stop at i.
+        const std::size_t b0 = std::max(k - 1, q * kBlock);
+        const std::size_t b1 = std::min(m, (q + 1) * kBlock);
+        double prev_min = kInf;
+        double cand_min = kInf;
+        for (std::size_t j = b0; j < b1; ++j) {
+          prev_min = std::min(prev_min, prev[j]);
+          if (j < i) {
+            cand_min = std::min(cand_min, prev[j] + costs.CostBetween(j, i));
+          }
+        }
+        const double bound = prev_min + col_min[i * stride + q];
+        ++checks;
+        if (bound > cand_min && violations++ == 0) {
+          first_violation = "k=" + std::to_string(k) + " i=" +
+                            std::to_string(i) + " q=" + std::to_string(q);
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 0u) << input.label;
+  EXPECT_EQ(violations, 0u) << input.label << ": " << violations << " of "
+                            << checks << " block bounds exceed their block "
+                            << "minimum; first at " << first_violation;
+}
+
+TEST(VOptMonotoneTest, CappedAbsoluteInputsBitIdentical) {
+  for (const CappedInput& input : CappedAbsoluteInputs()) {
+    CheckEquivalent(AbsoluteCosts(input.counts, input.grid_step),
+                    input.max_buckets, input.label);
+  }
+}
+
+TEST(VOptMonotoneTest, AbsoluteFullTablesAroundBlockBoundaries) {
+  // Full tables (every k up to m) whose rows start on both sides of a
+  // 64-candidate block boundary, so the clipped first block, a row that
+  // starts exactly on a boundary, and a cell whose range ends one past a
+  // boundary all occur.
+  for (const std::size_t m :
+       {std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{127},
+        std::size_t{128}, std::size_t{129}}) {
+    CheckEquivalent(AbsoluteCosts(NoisyCounts(m, 5000 + m), 1), 0,
+                    "noisy/m" + std::to_string(m));
+    CheckEquivalent(AbsoluteCosts(PiecewiseConstantCounts(m, 6000 + m), 1), 0,
+                    "piecewise/m" + std::to_string(m));
+  }
+}
+
+TEST(VOptMonotoneTest, AbsoluteColumnBlockMinimaMatchBruteForce) {
+  // Every column and every aligned block, including each column's
+  // partial last block, against a direct scan of CostBetween.
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+        std::size_t{129}, std::size_t{300}}) {
+    for (const std::size_t grid_step : {std::size_t{1}, std::size_t{3}}) {
+      const IntervalCostTable costs =
+          AbsoluteCosts(NoisyCounts(n, 7000 + n), grid_step);
+      const std::size_t m = costs.num_candidates();
+      for (const std::size_t block : {std::size_t{8}, std::size_t{64}}) {
+        const std::string label = "noisy/n" + std::to_string(n) + "/grid" +
+                                  std::to_string(grid_step) + "/block" +
+                                  std::to_string(block);
+        const std::size_t stride = m / block + 1;
+        const std::vector<double> col_min =
+            vopt_kernel::AbsoluteColumnBlockMinima(costs, block);
+        ASSERT_EQ(col_min.size(), (m + 1) * stride) << label;
+        for (std::size_t i = 1; i <= m; ++i) {
+          for (std::size_t q = 0; q * block < i; ++q) {
+            const std::size_t e = std::min(i, (q + 1) * block);
+            double expected = kInf;
+            for (std::size_t j = q * block; j < e; ++j) {
+              expected = std::min(expected, costs.CostBetween(j, i));
+            }
+            EXPECT_EQ(col_min[i * stride + q], expected)
+                << label << " column " << i << " block " << q;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VOptMonotoneTest, AbsoluteBlockBoundNeverExceedsBlockMinimum) {
+  for (const CappedInput& input : CappedAbsoluteInputs()) {
+    CheckAbsoluteBlockBoundCertified(input);
+  }
+}
+
+TEST(VOptMonotoneTest, HerdShapeSkipsMostBoundScans) {
+  // On the herd solve the aligned block bound must dismiss most
+  // candidates before the SIMD kernel reads them: kernel scans stay below
+  // a quarter of the naive path's exact lookups. Without the block bound
+  // the kernel reads nearly all of them.
+  ThreadPool sequential(1);
+  const IntervalCostTable costs = AbsoluteCosts(HerdShapeCounts(), 1);
+  const VOptSolver naive =
+      SolveWith(costs, VOptStrategy::kNaive, &sequential, 128);
+  const VOptSolver mono =
+      SolveWith(costs, VOptStrategy::kMonotone, &sequential, 128);
+  EXPECT_LT(mono.stats().bound_scans, naive.stats().cost_lookups / 4);
 }
 
 TEST(VOptMonotoneTest, CappedSquaredInputsBitIdentical) {

@@ -62,6 +62,9 @@ ID_FIELDS = {
     # bench_sparse identity field: the 64-bit sparse domain size (distinct
     # from "n", which is the record count there).
     "domain",
+    # bench_micro v-opt strategy table: the interval cost the solve
+    # minimizes (squared for NoiseFirst, absolute for StructureFirst).
+    "cost",
 }
 
 # Measured wall-clock fields: machine-dependent, ratio-gated.
