@@ -301,12 +301,66 @@ void RunVOptStrategyTable(dphist_bench::BenchJsonWriter& json) {
   }
 }
 
+// The M1 cost-build table: the median wall time of the absolute-cost
+// triangle build (IntervalCostTable::Create, kAbsolute, grid step 1, the
+// global pool) over the herd solve's input — the true network trace at
+// n = 1024, few distinct values — and over the cold_publish counts, the
+// same trace plus epsilon = 0.1 Laplace noise, where every count is a
+// distinct value and the build's rank cursor has the most to walk.
+void RunCostBuildTable(dphist_bench::BenchJsonWriter& json) {
+  struct Shape {
+    std::vector<double> counts;
+    double epsilon;  // 0 = noiseless
+  };
+  std::vector<Shape> shapes;
+  shapes.push_back({dphist::MakeNetTrace(1024, 42).histogram.counts(), 0.0});
+  std::vector<double> cold = dphist::MakeNetTrace(1024, 42).histogram.counts();
+  dphist::Rng noise_rng(5);
+  for (double& c : cold) {
+    c += dphist::SampleLaplace(noise_rng, 10.0);
+  }
+  shapes.push_back({std::move(cold), 0.1});
+
+  const std::size_t reps = dphist_bench::Repetitions();
+  for (const Shape& shape : shapes) {
+    dphist::IntervalCostTable::Options options;
+    options.kind = dphist::CostKind::kAbsolute;
+    std::vector<double> wall_ms;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      auto table = dphist::IntervalCostTable::Create(shape.counts, options);
+      wall_ms.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+      benchmark::DoNotOptimize(table);
+    }
+    std::sort(wall_ms.begin(), wall_ms.end());
+    std::vector<double> distinct = shape.counts;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    auto row = json.Row()
+                   .Str("fig", "m1_cost_build")
+                   .Str("algo", "interval_cost_build")
+                   .Str("dataset", "nettrace")
+                   .Str("cost", dphist::CostKindName(options.kind))
+                   .Num("n", static_cast<double>(shape.counts.size()))
+                   .Num("build_ms", wall_ms[wall_ms.size() / 2])
+                   .Num("distinct_values",
+                        static_cast<double>(distinct.size()));
+    if (shape.epsilon > 0.0) {
+      row.Num("epsilon", shape.epsilon);
+    }
+    json.AddRow(row);
+  }
+}
+
 }  // namespace
 
-// Custom main (instead of benchmark_main) so the strategy table runs and
-// the obs registry snapshot — solver counters, interval-cost build stats,
-// draw counts — is exported after the benchmarks (BenchJsonWriter::Finish
-// handles the DPHIST_OBS_OUT export).
+// Custom main (instead of benchmark_main) so the strategy, cost-build and
+// noise tables run and the obs registry snapshot — solver counters,
+// interval-cost build stats, draw counts — is exported after the
+// benchmarks (BenchJsonWriter::Finish handles the DPHIST_OBS_OUT export).
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
@@ -316,6 +370,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   dphist_bench::BenchJsonWriter json("micro");
   RunVOptStrategyTable(json);
+  RunCostBuildTable(json);
   RunNoiseBatchTable(json);
   json.Finish();
   return 0;

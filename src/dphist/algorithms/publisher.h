@@ -35,7 +35,8 @@ class HistogramPublisher {
   virtual std::string name() const = 0;
 
   /// Publishes a noisy histogram. Fails with InvalidArgument for an empty
-  /// histogram or epsilon <= 0, and propagates internal errors.
+  /// histogram, a NaN or infinite count, or epsilon <= 0, and propagates
+  /// internal errors.
   virtual Result<Histogram> Publish(const Histogram& histogram,
                                     double epsilon, Rng& rng) const = 0;
 
@@ -49,7 +50,7 @@ class HistogramPublisher {
     if (!(epsilon > 0.0)) {
       return Status::InvalidArgument("Publish: epsilon must be > 0");
     }
-    return Status::Ok();
+    return CheckFiniteCounts(histogram.counts());
   }
 };
 

@@ -9,10 +9,7 @@ namespace dphist {
 RankedFenwick::RankedFenwick(std::size_t num_ranks)
     : size_(num_ranks), count_(num_ranks + 1, 0), sum_(num_ranks + 1, 0.0) {}
 
-void RankedFenwick::CheckRank(std::size_t rank, const char* op) const {
-  if (rank < size_) {
-    return;
-  }
+void RankedFenwick::RankOutOfRange(const char* op, std::size_t rank) const {
   // Not an assert(): an out-of-range update silently corrupts every
   // downstream absolute cost, so the check must survive NDEBUG builds.
   std::fprintf(stderr,
@@ -21,51 +18,9 @@ void RankedFenwick::CheckRank(std::size_t rank, const char* op) const {
   std::abort();
 }
 
-void RankedFenwick::Insert(std::size_t rank, double value) {
-  CheckRank(rank, "Insert");
-  for (std::size_t i = rank + 1; i <= size_; i += i & (~i + 1)) {
-    count_[i] += 1;
-    sum_[i] += value;
-  }
-}
-
-void RankedFenwick::Remove(std::size_t rank, double value) {
-  CheckRank(rank, "Remove");
-  for (std::size_t i = rank + 1; i <= size_; i += i & (~i + 1)) {
-    count_[i] -= 1;
-    sum_[i] -= value;
-  }
-}
-
 void RankedFenwick::Clear() {
   std::fill(count_.begin(), count_.end(), 0);
   std::fill(sum_.begin(), sum_.end(), 0.0);
-}
-
-std::int64_t RankedFenwick::CountUpTo(std::size_t rank) const {
-  CheckRank(rank, "CountUpTo");
-  std::int64_t total = 0;
-  for (std::size_t i = rank + 1; i > 0; i -= i & (~i + 1)) {
-    total += count_[i];
-  }
-  return total;
-}
-
-double RankedFenwick::SumUpTo(std::size_t rank) const {
-  CheckRank(rank, "SumUpTo");
-  double total = 0.0;
-  for (std::size_t i = rank + 1; i > 0; i -= i & (~i + 1)) {
-    total += sum_[i];
-  }
-  return total;
-}
-
-std::int64_t RankedFenwick::TotalCount() const {
-  return size_ == 0 ? 0 : CountUpTo(size_ - 1);
-}
-
-double RankedFenwick::TotalSum() const {
-  return size_ == 0 ? 0.0 : SumUpTo(size_ - 1);
 }
 
 }  // namespace dphist

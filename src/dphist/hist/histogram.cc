@@ -1,5 +1,7 @@
 #include "dphist/hist/histogram.h"
 
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "dphist/common/math_util.h"
@@ -110,6 +112,20 @@ void Histogram::EnsurePrefix() const {
   }
   prefix_ = PrefixSums(counts_);
   prefix_valid_.store(true, std::memory_order_release);
+}
+
+Status CheckFiniteCounts(const std::vector<double>& counts) {
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (!std::isfinite(counts[i])) {
+      const char* text = std::isnan(counts[i]) ? "nan"
+                         : counts[i] > 0.0     ? "+inf"
+                                               : "-inf";
+      return Status::InvalidArgument("count of bin " + std::to_string(i) +
+                                     " is " + text +
+                                     "; counts must be finite");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace dphist

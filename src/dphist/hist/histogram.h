@@ -103,6 +103,13 @@ class Histogram {
   mutable std::mutex prefix_mutex_;
 };
 
+/// Returns kInvalidArgument naming the first bin whose count is NaN or
+/// infinite, and OK when every count is finite. Every dense publisher, the
+/// interval-cost build and ReleaseServer::AddDataset check this: a NaN
+/// count would otherwise publish an all-NaN release (and a NaN mean scores
+/// its interval's absolute cost as 0).
+Status CheckFiniteCounts(const std::vector<double>& counts);
+
 }  // namespace dphist
 
 #endif  // DPHIST_HIST_HISTOGRAM_H_

@@ -6,6 +6,7 @@
 #include "dphist/common/math_util.h"
 #include "dphist/common/thread_pool.h"
 #include "dphist/hist/fenwick.h"
+#include "dphist/hist/histogram.h"
 #include "dphist/obs/obs.h"
 
 namespace dphist {
@@ -26,6 +27,7 @@ Result<IntervalCostTable> IntervalCostTable::Create(
     return Status::InvalidArgument(
         "IntervalCostTable requires a non-empty histogram");
   }
+  DPHIST_RETURN_IF_ERROR(CheckFiniteCounts(counts));
   if (options.grid_step == 0) {
     return Status::InvalidArgument("grid_step must be >= 1");
   }
@@ -107,6 +109,13 @@ void IntervalCostTable::BuildAbsoluteMatrix(const std::vector<double>& counts,
   // across the pool with one scratch Fenwick tree per chunk; each column's
   // values are computed by exactly the sequential sweep, so the triangle is
   // bit-identical for any thread count.
+  //
+  // The cursor `le` counts the distinct values <= mu: std::upper_bound's
+  // index for any non-NaN mu (Create rejects non-finite counts). One more
+  // bin moves the mean little, so it usually moves zero or one step from
+  // the previous candidate's. Every cost comes from Fenwick node sums added
+  // in the tree's fixed walk order, so the triangle is a fixed function of
+  // the counts, bit for bit (DESIGN §7).
   auto sweep_columns = [&](std::size_t b_begin, std::size_t b_end) {
     RankedFenwick fenwick(sorted.size());
     for (std::size_t b = b_begin; b < b_end; ++b) {
@@ -114,6 +123,7 @@ void IntervalCostTable::BuildAbsoluteMatrix(const std::vector<double>& counts,
       double* column = &absolute_costs_[b * (b - 1) / 2];
       const std::size_t end = positions_[b];
       std::size_t a = b;  // index of the next candidate start to the left
+      std::size_t le = 0;
       for (std::size_t j = end; j-- > 0;) {
         fenwick.Insert(rank_of[j], counts[j]);
         if (a > 0 && positions_[a - 1] == j) {
@@ -122,21 +132,19 @@ void IntervalCostTable::BuildAbsoluteMatrix(const std::vector<double>& counts,
           const double length = static_cast<double>(end - begin);
           const double total = fenwick.TotalSum();
           const double mu = total / length;
-          // Largest rank whose value is <= mu.
-          const auto it =
-              std::upper_bound(sorted.begin(), sorted.end(), mu);
-          double below_sum = 0.0;
-          double below_count = 0.0;
-          if (it != sorted.begin()) {
-            const std::size_t rank =
-                static_cast<std::size_t>(it - sorted.begin()) - 1;
-            below_sum = fenwick.SumUpTo(rank);
-            below_count = static_cast<double>(fenwick.CountUpTo(rank));
+          while (le < sorted.size() && sorted[le] <= mu) {
+            ++le;
           }
-          const double above_sum = total - below_sum;
+          while (le > 0 && sorted[le - 1] > mu) {
+            --le;
+          }
+          const RankedFenwick::CountAndSum below =
+              fenwick.CountAndSumBelow(le);
+          const double below_count = static_cast<double>(below.count);
+          const double above_sum = total - below.sum;
           const double above_count = length - below_count;
-          const double cost =
-              (mu * below_count - below_sum) + (above_sum - mu * above_count);
+          const double cost = (mu * below_count - below.sum) +
+                              (above_sum - mu * above_count);
           column[a] = cost > 0.0 ? cost : 0.0;
         }
       }

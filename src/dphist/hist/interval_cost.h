@@ -61,8 +61,9 @@ class IntervalCostTable {
     std::size_t min_parallel_candidates = kDefaultMinParallelCandidates;
   };
 
-  /// Builds the table for `counts`. Fails for an empty histogram, a zero
-  /// grid step, or an absolute-cost matrix exceeding the cell cap.
+  /// Builds the table for `counts`. Fails with InvalidArgument for an
+  /// empty histogram, a NaN or infinite count, a zero grid step, or an
+  /// absolute-cost matrix exceeding the cell cap.
   static Result<IntervalCostTable> Create(const std::vector<double>& counts,
                                           const Options& options);
 

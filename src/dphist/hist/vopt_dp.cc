@@ -197,8 +197,9 @@ struct AbsoluteBoundTables {
 // is contiguous in j, so every bound here is built from exact minima: a
 // block's bound block_min + col_min never exceeds any prev[j] + col[j] it
 // covers, because rounding is monotone — no slack and no reciprocals. The
-// kernel's block minimum is itself an exact candidate, so the rescan of a
-// surviving block stops at its leftmost achiever (DESIGN §7).
+// kernel's block minimum is itself an exact candidate, so a surviving
+// block's leftmost achiever is the first j whose sum reproduces it
+// (DESIGN §7).
 void MonotoneAbsoluteCells(const IntervalCostTable& costs,
                            const AbsoluteBoundTables& t, const double* prev,
                            double* curr, std::int32_t* par, std::size_t k,
@@ -243,12 +244,10 @@ void MonotoneAbsoluteCells(const IntervalCostTable& costs,
       }
       // bmin improves the cell and is the exact sum of some candidate in
       // the block, so the first j that reproduces it is the block's
-      // leftmost argmin; nothing past it needs evaluating.
-      std::size_t j = b0;
-      while (j < e && prev[j] + col[j] != bmin) {
-        ++j;
-      }
-      *lookups += std::min(j + 1, e) - b0;
+      // leftmost argmin. The kernel compares every candidate of the block.
+      const std::size_t j =
+          vopt_kernel::AbsoluteFirstMatch(prev, col, b0, e, bmin);
+      *lookups += e - b0;
       if (j == e) {
         bj = -1;  // the kernel disagreed with the scalar sums: solve naively
         break;

@@ -52,6 +52,19 @@ double AbsoluteCandidateBlockMin(const double* __restrict prev,
   return mn;
 }
 
+// Scanned right to left so the last index written is the leftmost match;
+// the select form is what GCC vectorizes (an early-exit loop is not).
+DPHIST_VOPT_KERNEL_CLONES
+std::size_t AbsoluteFirstMatch(const double* __restrict prev,
+                               const double* __restrict col, std::size_t b0,
+                               std::size_t e, double bmin) {
+  std::size_t first = e;
+  for (std::size_t j = e; j-- > b0;) {
+    first = prev[j] + col[j] == bmin ? j : first;
+  }
+  return first;
+}
+
 DPHIST_VOPT_KERNEL_CLONES
 std::vector<double> AbsoluteColumnBlockMinima(const IntervalCostTable& costs,
                                               std::size_t block) {

@@ -13,17 +13,21 @@ namespace vopt_kernel {
 
 // Bound kernels for the monotone v-opt row solver (DESIGN §7).
 //
-// The out-of-line block-min kernels live in vopt_kernel.cc. That
-// translation unit is compiled with -ffinite-math-only
-// -fno-signed-zeros (see src/CMakeLists.txt) so the compiler vectorizes
-// the floating-point min reductions, with target_clones dispatching to
-// AVX2/AVX-512 at runtime where available. The relaxed FP semantics are
-// safe there because the kernels produce *pruning thresholds only*:
-// no value they compute is ever written to the DP table, so the
+// The out-of-line kernels live in vopt_kernel.cc. That translation unit
+// is compiled with -ffinite-math-only -fno-signed-zeros (see
+// src/CMakeLists.txt) so the compiler vectorizes the floating-point min
+// reductions and the first-match select, with target_clones dispatching
+// to AVX2/AVX-512 at runtime where available. The relaxed FP semantics
+// are safe there because no kernel computes a DP value: the squared
+// kernel produces pruning thresholds only, the absolute block minimum
+// selects one of its exact sums, and the solver re-evaluates the sum at
+// the first-match index with strict scalar arithmetic. Neither flag
+// changes an IEEE add or an equality compare of finite operands, so the
 // exact-tie-breaking contract of the solver cannot be perturbed.
 //
 // Kernel preconditions: b0 < e, and every input in [b0, e) is finite (the
-// solver only scans candidates whose previous-row cost is finite).
+// solver only scans candidates whose previous-row cost is finite, and the
+// cost table rejects non-finite counts).
 
 /// Interval-length reciprocals rr are inflated by 1 + 2^-40 so that
 /// (sum*sum) * rr >= fl((sum*sum) / length) under any rounding — including
@@ -89,6 +93,14 @@ inline double SquaredBlockLowerBound(double prev_min, const double* csum,
 /// The result is one of the sums it covers, bit for bit.
 double AbsoluteCandidateBlockMin(const double* prev, const double* col,
                                  std::size_t b0, std::size_t e);
+
+/// The leftmost j in [b0, e) with prev[j] + col[j] == bmin, or e when there
+/// is none: the monotone absolute path's achiever of the exact block
+/// minimum AbsoluteCandidateBlockMin returned. Each lane adds the same two
+/// doubles as the scalar sum and compares them exactly, so the index is
+/// the one a scalar scan finds (DESIGN §7).
+std::size_t AbsoluteFirstMatch(const double* prev, const double* col,
+                               std::size_t b0, std::size_t e, double bmin);
 
 /// Exact minima of every absolute-cost column over aligned blocks of
 /// `block` candidates, built once per solve for the absolute block bound

@@ -92,13 +92,18 @@ ReleaseServer::ReleaseServer(ReleaseServerOptions options)
 ReleaseServer::ReleaseServer(Histogram truth, double total_epsilon,
                              ReleaseServerOptions options)
     : ReleaseServer(options) {
-  // The single-tenant constructor cannot fail: the default namespace is
-  // empty by construction.
+  // The default namespace is empty by construction, so this fails only for
+  // non-finite counts; the server then has no default namespace and
+  // refuses every request with kNotFound before charging anything.
   (void)AddDataset(DefaultTenantKey(), std::move(truth), total_epsilon);
 }
 
 Status ReleaseServer::AddDataset(const TenantKey& key, Histogram truth,
                                  double total_epsilon) {
+  // Refused here, before any ledger exists: every publisher rejects
+  // non-finite counts, and a release that cannot publish must never be
+  // charged.
+  DPHIST_RETURN_IF_ERROR(CheckFiniteCounts(truth.counts()));
   auto dataset = std::make_unique<Dataset>(key, std::move(truth),
                                            total_epsilon, options_.journal);
   std::unique_lock<std::shared_mutex> lock(datasets_mutex_);

@@ -187,7 +187,8 @@ class ReleaseServer {
   /// Single-tenant convenience: serves `truth` under a lifetime privacy
   /// budget of `total_epsilon`, registered as the default namespace
   /// (tenant "default", dataset "default"). The tenant-less overloads
-  /// below target this namespace.
+  /// below target this namespace. A NaN or infinite count registers
+  /// nothing (see AddDataset), so every request fails kNotFound.
   ReleaseServer(Histogram truth, double total_epsilon,
                 ReleaseServerOptions options = {});
 
@@ -195,7 +196,8 @@ class ReleaseServer {
   ReleaseServer& operator=(const ReleaseServer&) = delete;
 
   /// Registers `truth` under `key` with a lifetime budget of
-  /// `total_epsilon`. Fails `kInvalidArgument` when the namespace is taken.
+  /// `total_epsilon`. Fails `kInvalidArgument` when the namespace is taken
+  /// or a count is NaN or infinite.
   Status AddDataset(const TenantKey& key, Histogram truth,
                     double total_epsilon);
 

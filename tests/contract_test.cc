@@ -109,6 +109,20 @@ TEST_P(PublisherContract, RejectsInvalidArguments) {
   EXPECT_FALSE(publisher->Publish(Truth(), -1.0, rng).ok());
 }
 
+// A NaN or infinite count used to publish an all-NaN release with OK;
+// the shared argument check now refuses it for every publisher.
+TEST_P(PublisherContract, RejectsNonFiniteCounts) {
+  auto publisher = MakePublisher();
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    std::vector<double> counts = Truth().counts();
+    counts[counts.size() / 2] = bad;
+    Rng rng(450);
+    auto out = publisher->Publish(Histogram(std::move(counts)), 1.0, rng);
+    ASSERT_FALSE(out.ok()) << bad;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST_P(PublisherContract, ActuallyPerturbs) {
   // A DP release that returns the exact input at small epsilon is a red
   // flag; check the output differs from the truth in at least one of a

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "dphist/algorithms/registry.h"
+#include "dphist/random/rng.h"
+
 namespace dphist {
 namespace {
 
@@ -153,6 +156,26 @@ TEST_F(CsvTest, TrailingCharactersRejected) {
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   std::remove(path.c_str());
+}
+
+// std::stod accepts "nan" and "inf", so the loader returns such counts as
+// parsed; publishing them must then fail with a typed error rather than
+// release NaN.
+TEST_F(CsvTest, NanCountLoadsButDoesNotPublish) {
+  const std::string path = TempPath("nan_publish.csv");
+  WriteFile(path, "1\n2\nnan\n4\n");
+  auto loaded = LoadHistogramCsv(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded.value().size(), 4u);
+  for (const char* name : {"noise_first", "structure_first", "dwork"}) {
+    auto publisher = PublisherRegistry::Make(name);
+    ASSERT_TRUE(publisher.ok());
+    Rng rng(1);
+    auto out = publisher.value()->Publish(loaded.value(), 1.0, rng);
+    ASSERT_FALSE(out.ok()) << name;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << name;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "dphist/hist/fenwick.h"
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,6 +77,66 @@ TEST(FenwickDeathTest, QueryOutOfRangeAborts) {
   tree.Insert(3, 9.0);
   EXPECT_DEATH_IF_SUPPORTED(tree.CountUpTo(4), "CountUpTo.*out of range");
   EXPECT_DEATH_IF_SUPPORTED(tree.SumUpTo(100), "SumUpTo.*out of range");
+}
+
+TEST(FenwickDeathTest, CountAndSumBelowOutOfRangeAborts) {
+  RankedFenwick tree(4);
+  tree.Insert(3, 9.0);
+  EXPECT_EQ(tree.CountAndSumBelow(4).count, 1);  // a rank count: 4 is valid
+  EXPECT_DEATH_IF_SUPPORTED(tree.CountAndSumBelow(5),
+                            "CountAndSumBelow.*out of range");
+}
+
+// The fused walk is the only prefix walk: CountUpTo/SumUpTo(r - 1) and
+// TotalSum must be the same nodes added in the same order, which shows on
+// non-integer values as bitwise equality. The shadow node array (summed
+// in insertion order, walked high index to low) pins that order
+// independently of the class, so a reordered walk fails here even though
+// it would still agree with itself.
+TEST(FenwickTest, CountAndSumBelowIsThePrefixWalkBitwise) {
+  for (const std::size_t ranks :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{64},
+        std::size_t{100}}) {
+    RankedFenwick tree(ranks);
+    std::vector<std::int64_t> node_count(ranks + 1, 0);
+    std::vector<double> node_sum(ranks + 1, 0.0);
+    Rng rng(2000 + ranks);
+    for (int op = 0; op < 300; ++op) {
+      const std::size_t rank = SampleIndex(rng, ranks);
+      const double value = SampleLaplace(rng, 1e3) + 0.1;
+      tree.Insert(rank, value);
+      for (std::size_t i = rank + 1; i <= ranks; i += i & (~i + 1)) {
+        node_count[i] += 1;
+        node_sum[i] += value;
+      }
+    }
+    for (std::size_t r = 0; r <= ranks; ++r) {
+      std::int64_t want_count = 0;
+      double want_sum = 0.0;
+      for (std::size_t i = r; i > 0; i -= i & (~i + 1)) {
+        want_count += node_count[i];
+        want_sum += node_sum[i];
+      }
+      const RankedFenwick::CountAndSum below = tree.CountAndSumBelow(r);
+      EXPECT_EQ(below.count, want_count) << "ranks=" << ranks << " r=" << r;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(below.sum),
+                std::bit_cast<std::uint64_t>(want_sum))
+          << "ranks=" << ranks << " r=" << r;
+      if (r > 0) {
+        EXPECT_EQ(below.count, tree.CountUpTo(r - 1));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(below.sum),
+                  std::bit_cast<std::uint64_t>(tree.SumUpTo(r - 1)))
+            << "ranks=" << ranks << " r=" << r;
+      } else {
+        EXPECT_EQ(below.count, 0);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(below.sum),
+                  std::bit_cast<std::uint64_t>(0.0));
+      }
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tree.TotalSum()),
+              std::bit_cast<std::uint64_t>(tree.SumUpTo(ranks - 1)));
+    EXPECT_EQ(tree.TotalCount(), 300);
+  }
 }
 
 TEST(FenwickTest, LastRankQueryStillReturnsTotals) {

@@ -5,6 +5,7 @@
 // let one tenant's degraded request be answered from a release the other
 // tenant paid for.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -91,6 +92,36 @@ TEST(TenantServerTest, PerNamespaceLedgersAreIndependent) {
   // zeta still has its full (smaller) grant.
   ASSERT_TRUE(server.GetRelease(zeta, {"noise_first", 0.5, 1}).ok());
   EXPECT_DOUBLE_EQ(zeta_ledger.value()->spent_epsilon(), 0.5);
+}
+
+// A dataset with a NaN or infinite count can never publish, so it is
+// refused at registration: no namespace and no ledger exist, and a request
+// for it is an ordinary NotFound that charges nothing.
+TEST(TenantServerTest, NonFiniteCountsRefusedAtRegistration) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    ReleaseServer server;
+    const TenantKey key{"acme", "clicks"};
+    std::vector<double> counts = TestTruth().counts();
+    counts[3] = bad;
+    const Status added =
+        server.AddDataset(key, Histogram(std::move(counts)), 1.0);
+    EXPECT_EQ(added.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(server.dataset_count(), 0u);
+    EXPECT_EQ(server.LedgerFor(key).status().code(), StatusCode::kNotFound);
+    auto release = server.GetRelease(key, {"structure_first", 0.5, 1});
+    ASSERT_FALSE(release.ok());
+    EXPECT_EQ(release.status().code(), StatusCode::kNotFound);
+
+    // The single-tenant constructor registers nothing either.
+    std::vector<double> single = TestTruth().counts();
+    single[0] = bad;
+    ReleaseServer legacy(Histogram(std::move(single)), 1.0);
+    EXPECT_EQ(legacy.dataset_count(), 0u);
+    EXPECT_EQ(legacy.GetRelease(DefaultTenantKey(), {"dwork", 0.5, 1})
+                  .status()
+                  .code(),
+              StatusCode::kNotFound);
+  }
 }
 
 TEST(TenantServerTest, CrossTenantProbeIsPermissionDeniedNotNotFound) {

@@ -478,6 +478,73 @@ TEST(VOptMonotoneTest, AbsoluteColumnBlockMinimaMatchBruteForce) {
   }
 }
 
+// The first-match kernel against a scalar scan, at every block length
+// from 1 to 65 so each vector width's remainder loop runs: the leftmost of
+// several tied sums (some tied through different operands), a match at b0
+// only, at e - 1 only, and no match, which returns e.
+TEST(VOptMonotoneTest, AbsoluteFirstMatchFindsLeftmostMatch) {
+  constexpr std::size_t kB0 = 3;
+  const double bmin = 1.5;
+  for (std::size_t length = 1; length <= 65; ++length) {
+    const std::size_t e = kB0 + length;
+    // Every sum differs from bmin unless a case below plants a match.
+    std::vector<double> prev(e + 2);
+    std::vector<double> col(e + 2);
+    for (std::size_t j = 0; j < prev.size(); ++j) {
+      prev[j] = 2.0 + static_cast<double>(j) * 0.25;
+      col[j] = 0.75;
+    }
+    auto scalar_first = [&](const std::vector<double>& p,
+                            const std::vector<double>& c) {
+      std::size_t j = kB0;
+      while (j < e && p[j] + c[j] != bmin) {
+        ++j;
+      }
+      return j;
+    };
+    const std::string label = "length " + std::to_string(length);
+    EXPECT_EQ(vopt_kernel::AbsoluteFirstMatch(prev.data(), col.data(), kB0,
+                                              e, bmin),
+              e)
+        << label << ": no match";
+    // Matches outside [b0, e) must be ignored.
+    std::vector<double> outside_prev = prev;
+    outside_prev[kB0 - 1] = 0.75;
+    outside_prev[e] = 0.75;
+    EXPECT_EQ(vopt_kernel::AbsoluteFirstMatch(outside_prev.data(), col.data(),
+                                              kB0, e, bmin),
+              e)
+        << label << ": matches outside the block";
+    for (const std::size_t at : {kB0, e - 1}) {
+      std::vector<double> p = prev;
+      p[at] = 0.75;
+      EXPECT_EQ(
+          vopt_kernel::AbsoluteFirstMatch(p.data(), col.data(), kB0, e, bmin),
+          at)
+          << label << ": single match at " << at;
+    }
+    // Ties at several positions; the leftmost is planted at each offset in
+    // turn, with later ties reached through swapped operands.
+    for (std::size_t lead = kB0; lead < e; ++lead) {
+      std::vector<double> p = prev;
+      std::vector<double> c = col;
+      p[lead] = 0.75;
+      for (std::size_t j = lead + 1; j < e; j += 3) {
+        p[j] = 1.0;
+        c[j] = 0.5;
+      }
+      if (e - 1 > lead) {
+        p[e - 1] = 0.5;
+        c[e - 1] = 1.0;
+      }
+      const std::size_t got =
+          vopt_kernel::AbsoluteFirstMatch(p.data(), c.data(), kB0, e, bmin);
+      EXPECT_EQ(got, lead) << label << ": ties led at " << lead;
+      EXPECT_EQ(got, scalar_first(p, c)) << label;
+    }
+  }
+}
+
 TEST(VOptMonotoneTest, AbsoluteBlockBoundNeverExceedsBlockMinimum) {
   for (const CappedInput& input : CappedAbsoluteInputs()) {
     CheckAbsoluteBlockBoundCertified(input);
