@@ -2,9 +2,11 @@
 #define DPHIST_COMMON_BINARY_IO_H_
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -85,24 +87,59 @@ inline std::uint32_t Crc32(std::string_view bytes) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+// --- fixed-width little-endian loads and stores at a raw position ---
+
+inline constexpr bool kLittleEndianHost =
+    std::endian::native == std::endian::little;
+
+inline std::uint32_t LoadU32(const char* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return kLittleEndianHost ? v : __builtin_bswap32(v);
+}
+
+inline std::uint64_t LoadU64(const char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return kLittleEndianHost ? v : __builtin_bswap64(v);
+}
+
+inline void StoreU32(char* p, std::uint32_t v) {
+  v = kLittleEndianHost ? v : __builtin_bswap32(v);
+  std::memcpy(p, &v, sizeof(v));
+}
+
 // --- encoding primitives (little-endian, append-to-string) ---
 
 inline void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
+  char bytes[4];
+  StoreU32(bytes, v);
+  out.append(bytes, sizeof(bytes));
 }
 
 inline void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
+  v = kLittleEndianHost ? v : __builtin_bswap64(v);
+  char bytes[8];
+  std::memcpy(bytes, &v, sizeof(v));
+  out.append(bytes, sizeof(bytes));
 }
 
 inline void PutF64(std::string& out, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   PutU64(out, bits);
+}
+
+/// Consecutive PutF64s: one block copy on a little-endian host.
+inline void PutF64s(std::string& out, std::span<const double> values) {
+  if constexpr (kLittleEndianHost) {
+    out.append(reinterpret_cast<const char*>(values.data()),
+               values.size_bytes());
+  } else {
+    for (const double v : values) {
+      PutF64(out, v);
+    }
+  }
 }
 
 inline void PutStr(std::string& out, std::string_view s) {
@@ -117,31 +154,20 @@ struct Cursor {
   std::size_t pos = 0;
 
   bool Remaining(std::size_t n) const { return bytes.size() - pos >= n; }
+  const char* here() const { return bytes.data() + pos; }
 };
 
 inline bool GetU32(Cursor& in, std::uint32_t* v) {
   if (!in.Remaining(4)) return false;
-  std::uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(in.bytes[in.pos + i]))
-           << (8 * i);
-  }
+  *v = LoadU32(in.here());
   in.pos += 4;
-  *v = out;
   return true;
 }
 
 inline bool GetU64(Cursor& in, std::uint64_t* v) {
   if (!in.Remaining(8)) return false;
-  std::uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(in.bytes[in.pos + i]))
-           << (8 * i);
-  }
+  *v = LoadU64(in.here());
   in.pos += 8;
-  *v = out;
   return true;
 }
 
@@ -152,11 +178,19 @@ inline bool GetF64(Cursor& in, double* v) {
   return true;
 }
 
-inline bool GetStr(Cursor& in, std::string* s) {
+/// A length-prefixed string as a view into the cursor's bytes.
+inline bool GetStrView(Cursor& in, std::string_view* s) {
   std::uint32_t len = 0;
   if (!GetU32(in, &len) || !in.Remaining(len)) return false;
-  s->assign(in.bytes.data() + in.pos, len);
+  *s = in.bytes.substr(in.pos, len);
   in.pos += len;
+  return true;
+}
+
+inline bool GetStr(Cursor& in, std::string* s) {
+  std::string_view view;
+  if (!GetStrView(in, &view)) return false;
+  s->assign(view);
   return true;
 }
 

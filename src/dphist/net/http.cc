@@ -117,26 +117,52 @@ HttpParser::State HttpParser::Feed(std::string_view bytes,
                                    std::size_t* consumed) {
   *consumed = 0;
   if (!in_body_) {
-    // Accumulate until the blank line terminating the header block,
-    // consuming only up to (and including) that terminator — anything
-    // after it is body or the next pipelined message and stays with the
-    // caller. The search restarts just before the previous tail so a
-    // terminator spanning a read boundary is found without rescanning.
+    // Find the blank line ending the header block, consuming only up to
+    // (and including) it: anything after it is body or the next pipelined
+    // message and stays with the caller. The terminator is looked for in
+    // the caller's bytes, and only a head still missing it is buffered,
+    // so a head that arrives whole is never copied. A terminator spanning
+    // the previous feed's tail is found in a six-byte window over the
+    // boundary.
     const std::size_t previous = buffer_.size();
-    const std::size_t search_from = previous < 3 ? 0 : previous - 3;
-    buffer_.append(bytes.data(), bytes.size());
-    const std::size_t head_end = buffer_.find("\r\n\r\n", search_from);
-    if (head_end == std::string::npos) {
-      *consumed = bytes.size();
-      if (buffer_.size() > kMaxHeaderBytes) {
-        return Fail(431, "header block too large");
+    std::size_t taken = std::string_view::npos;  // of `bytes`, terminator incl.
+    if (previous > 0) {
+      const std::size_t tail = std::min<std::size_t>(previous, 3);
+      std::string window = buffer_.substr(previous - tail);
+      window.append(bytes.substr(0, 3));
+      const std::size_t at = window.find("\r\n\r\n");
+      if (at != std::string::npos) {
+        taken = at + 4 - tail;
       }
+    }
+    if (taken == std::string_view::npos) {
+      const std::size_t at = bytes.find("\r\n\r\n");
+      if (at != std::string_view::npos) {
+        taken = at + 4;
+      }
+    }
+    // The limit holds for the head as a whole, however its bytes arrive:
+    // a head still missing its terminator fails as soon as it is over the
+    // limit, and a complete one fails when its terminator lands past it.
+    const std::size_t head_bytes =
+        previous + (taken == std::string_view::npos ? bytes.size() : taken);
+    if (head_bytes > kMaxHeaderBytes) {
+      *consumed = bytes.size();
+      return Fail(431, "header block too large");
+    }
+    if (taken == std::string_view::npos) {
+      buffer_.append(bytes.data(), bytes.size());
+      *consumed = bytes.size();
       return State::kNeedMore;
     }
-    const std::size_t head_total = head_end + 4;
-    *consumed = head_total - previous;
-    buffer_.resize(head_total);  // return over-read bytes to the caller
-    if (!ParseHeaderBlock(std::string_view(buffer_).substr(0, head_end + 2))) {
+    *consumed = taken;
+    std::string_view head = bytes.substr(0, taken);
+    if (previous > 0) {
+      buffer_.append(head.data(), head.size());
+      head = buffer_;
+    }
+    // Parse through the last header line's CRLF (the blank line dropped).
+    if (!ParseHeaderBlock(head.substr(0, head.size() - 2))) {
       return Fail(400, "malformed header block");
     }
     // Body framing: Content-Length only (no chunked support).
@@ -220,6 +246,22 @@ std::string SerializeResponseHead(const HttpMessage& message,
   std::string out = ResponseStatusLine(message);
   AppendHeadersOnly(out, message, body_len);
   return out;
+}
+
+ResponseHead::ResponseHead(const HttpMessage& message)
+    : prefix_(SerializeResponseHead(message, 0)) {
+  // AppendHeadersOnly writes content-length last: drop its value and the
+  // blank line, keeping everything through "content-length: ".
+  prefix_.resize(prefix_.size() - std::string_view("0\r\n\r\n").size());
+}
+
+void ResponseHead::Append(std::string& out, std::size_t body_len) const {
+  char digits[24];
+  const std::to_chars_result written =
+      std::to_chars(digits, digits + sizeof(digits), body_len);
+  out.append(prefix_);
+  out.append(digits, written.ptr);
+  out.append("\r\n\r\n");
 }
 
 std::string_view ReasonPhrase(int status) {

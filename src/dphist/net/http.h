@@ -23,7 +23,9 @@ namespace net {
 
 /// Hard limits, enforced during parsing so a misbehaving peer cannot make
 /// the server buffer unboundedly. Oversized input fails the parse with an
-/// HTTP status the server echoes back (431/413).
+/// HTTP status the server echoes back (431/413). The header limit counts
+/// the whole head, blank line included, however its bytes are split
+/// across feeds.
 inline constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
 inline constexpr std::size_t kMaxBodyBytes = 256u * 1024 * 1024;
 
@@ -64,8 +66,9 @@ class HttpParser {
 
   /// Consumes as much of `bytes` as this message needs. Returns the new
   /// state; `*consumed` is how many input bytes were used (always the full
-  /// input while kNeedMore). After kComplete, call Reset() before feeding
-  /// the next message's bytes.
+  /// input while kNeedMore). A head found whole in `bytes` is parsed in
+  /// place; only an incomplete head is buffered. After kComplete, call
+  /// Reset() before feeding the next message's bytes.
   State Feed(std::string_view bytes, std::size_t* consumed);
 
   /// The parsed message; valid once Feed returned kComplete.
@@ -86,7 +89,7 @@ class HttpParser {
   bool ParseHeaderBlock(std::string_view head);
 
   Kind kind_;
-  std::string buffer_;       // bytes of the current message's head
+  std::string buffer_;       // a head arriving over several feeds
   bool in_body_ = false;     // head parsed; accumulating body
   std::size_t body_needed_ = 0;
   HttpMessage message_;
@@ -111,6 +114,22 @@ std::string SerializeResponse(const HttpMessage& message);
 /// the head buffer.
 std::string SerializeResponseHead(const HttpMessage& message,
                                   std::size_t body_len);
+
+/// \brief A response head serialized once, for a path that sends many
+/// responses with one status and header set: `Append(out, n)` appends
+/// exactly `SerializeResponseHead(message, n)`, one copy of the fixed
+/// bytes plus the content-length digits, with no map walk and no
+/// allocation beyond `out`'s growth.
+class ResponseHead {
+ public:
+  /// Serializes `message`'s status line and headers (`body` is ignored).
+  explicit ResponseHead(const HttpMessage& message);
+
+  void Append(std::string& out, std::size_t body_len) const;
+
+ private:
+  std::string prefix_;  // status line + headers through "content-length: "
+};
 
 /// Canonical reason phrase for the handful of statuses dphist emits.
 std::string_view ReasonPhrase(int status);

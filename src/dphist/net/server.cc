@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -100,6 +101,48 @@ Payload BuildResponse(int http_status, StatusCode code, bool binary,
   return Payload{SerializeResponse(response), nullptr};
 }
 
+ResponseHead MakeAnswerHead(bool binary, bool close) {
+  HttpMessage response;
+  FillResponseHeaders(response, 200, StatusCode::kOk, binary, close);
+  return ResponseHead(response);
+}
+
+// The head of a 200 batch-answer response for each (codec, close) pair,
+// serialized once.
+const ResponseHead& AnswerHead(bool binary, bool close) {
+  static const ResponseHead json = MakeAnswerHead(false, false);
+  static const ResponseHead json_close = MakeAnswerHead(false, true);
+  static const ResponseHead wire = MakeAnswerHead(true, false);
+  static const ResponseHead wire_close = MakeAnswerHead(true, true);
+  if (binary) {
+    return close ? wire_close : wire;
+  }
+  return close ? json_close : json;
+}
+
+// Appends one complete 200 response carrying a batch answer to `out`:
+// the precomputed head with only content-length filled in, then the body
+// written in place behind it — byte-identical to BuildResponse over the
+// encoded answer. Both lanes write their answers through here.
+void AppendAnswerResponse(std::string& out, bool binary, bool close,
+                          std::span<const double> answers, bool stale,
+                          bool cache_hit, const serve::ReleaseKey& served) {
+  const ResponseHead& head = AnswerHead(binary, close);
+  if (binary) {
+    head.Append(out, BatchAnswerFrameSize(served, answers.size()));
+    AppendBatchAnswer(out, answers, stale, cache_hit, served);
+    return;
+  }
+  WireBatchAnswer answer;
+  answer.answers.assign(answers.begin(), answers.end());
+  answer.stale = stale;
+  answer.cache_hit = cache_hit;
+  answer.served = served;
+  const std::string body = EncodeBatchAnswerJson(answer);
+  head.Append(out, body.size());
+  out += body;
+}
+
 // Like BuildResponse, but the body stays a shared immutable frame: only
 // the head is serialized, and the frame ships as the second writev
 // segment. Byte-identical on the wire to BuildResponse with a copied
@@ -165,6 +208,18 @@ std::shared_ptr<const std::string> ReleaseFrame(
       codec, [&release, binary] { return EncodeReleaseBody(release, binary); });
 }
 
+// Loop scratch vectors keep their capacity across requests up to this
+// many entries (64 KiB of queries); one grown past it by an outsized batch
+// is released after that request.
+constexpr std::size_t kScratchEntries = 4096;
+
+template <typename T>
+void TrimScratch(std::vector<T>& scratch) {
+  if (scratch.capacity() > kScratchEntries) {
+    std::vector<T>().swap(scratch);
+  }
+}
+
 // Identity of the release a query request resolves to — the coalescing
 // group key. Epsilon joins by bit pattern: coalescing must only merge
 // requests that are exactly the same release.
@@ -201,7 +256,7 @@ struct NetServer::Impl {
     std::uint64_t id = 0;
     int fd = -1;
     HttpParser parser{HttpParser::Kind::kRequest};
-    std::string inbuf;  // read but not yet consumed by the parser
+    std::string inbuf;  // read, but left unparsed by a dispatched request
     std::deque<Payload> outq;  // responses awaiting write, in order
     std::size_t out_pos = 0;   // bytes of outq.front() already written
     bool dispatched = false;   // a request is inside a handler
@@ -232,6 +287,13 @@ struct NetServer::Impl {
   };
   std::mutex groups_mutex;
   std::map<std::string, Group> groups;
+
+  // --- the loop's decode and answer scratch (event-loop thread only),
+  // reused across requests so the fast lane allocates nothing once warm ---
+  QueryRequestView query_view;        // a binary request, read in place
+  serve::TenantKey query_key;         // the decoded request's namespace
+  serve::ServeRequest query_request;  // ... and release
+  serve::BatchAnswer fast_answer;     // fast-lane answers
 
   // Metrics, resolved once.
   obs::Counter& requests = obs::Registry::Global().GetCounter("net/requests");
@@ -271,6 +333,26 @@ struct NetServer::Impl {
     Wake();
   }
 
+  // A dispatched query's response: its queries' answers, from `offset` in
+  // `answered` (its group's merged batch, or its own), or the typed error.
+  Payload AnswerResponse(const PendingQuery& pending,
+                         const Result<serve::BatchAnswer>& answered,
+                         std::size_t offset) {
+    if (!answered.ok()) {
+      errors.Increment();
+      return BuildErrorResponse(answered.status(), pending.binary,
+                                pending.close);
+    }
+    const serve::BatchAnswer& batch = answered.value();
+    const std::span<const double> answers(batch.answers);
+    const std::size_t count = pending.request.queries.size();
+    Payload response;
+    AppendAnswerResponse(response.head, pending.binary, pending.close,
+                         answers.subspan(offset, count), batch.stale,
+                         batch.cache_hit, batch.served);
+    return response;
+  }
+
   // Leader loop for one coalescing group: drain waiters, answer them with
   // ONE serve-layer batch, repeat until the group is empty. Runs on a
   // worker (or inline on the loop thread for a single-threaded pool).
@@ -301,37 +383,25 @@ struct NetServer::Impl {
                            pending.request.queries.end());
       }
       const WireQueryRequest& head = batch.front().request;
-      auto answered = server->AnswerBatch(
-          serve::TenantKey{head.tenant, head.dataset}, all_queries,
-          head.request);
-      if (!answered.ok()) {
-        errors.Add(batch.size());
-        for (const PendingQuery& pending : batch) {
-          CompleteRequest(pending,
-                          BuildErrorResponse(answered.status(), pending.binary,
-                                             pending.close));
-        }
-        continue;
-      }
-      const serve::BatchAnswer& result = answered.value();
+      const serve::TenantKey tenant_key{head.tenant, head.dataset};
+      const auto answered =
+          server->AnswerBatch(tenant_key, all_queries, head.request);
+      // One member's bad query must neither fail the others nor be
+      // reported at its index in the merged batch: then every member is
+      // answered as if it had come alone. AnswerBatch validates before it
+      // charges, so a bad query adds no charge.
+      const StatusCode code = answered.status().code();  // kOk on success
+      const bool invalid = code == StatusCode::kInvalidArgument;
       std::size_t offset = 0;
       for (const PendingQuery& pending : batch) {
-        WireBatchAnswer answer;
-        answer.stale = result.stale;
-        answer.cache_hit = result.cache_hit;
-        answer.served = result.served;
-        answer.answers.assign(
-            result.answers.begin() + static_cast<std::ptrdiff_t>(offset),
-            result.answers.begin() +
-                static_cast<std::ptrdiff_t>(offset +
-                                            pending.request.queries.size()));
+        if (invalid && batch.size() > 1) {
+          const auto& queries = pending.request.queries;
+          auto own = server->AnswerBatch(tenant_key, queries, head.request);
+          CompleteRequest(pending, AnswerResponse(pending, own, 0));
+          continue;
+        }
+        CompleteRequest(pending, AnswerResponse(pending, answered, offset));
         offset += pending.request.queries.size();
-        CompleteRequest(
-            pending,
-            BuildResponse(200, StatusCode::kOk, pending.binary,
-                          pending.binary ? EncodeBatchAnswer(answer)
-                                         : EncodeBatchAnswerJson(answer),
-                          pending.close));
       }
     }
     // Wake BEFORE the decrement: the drain check in EventLoop exits (and
@@ -380,6 +450,59 @@ struct NetServer::Impl {
     requests.Increment();
   }
 
+  // Where an inline response is written: the back of the out-queue when
+  // it carries no shared body, so a pipelined burst's responses share one
+  // buffer and leave as one writev segment.
+  std::string& OutBuffer(Conn& conn) {
+    if (conn.outq.empty() || conn.outq.back().body != nullptr) {
+      conn.outq.emplace_back();
+    }
+    return conn.outq.back().head;
+  }
+
+  // Decodes a query endpoint's body into the loop's scratch: a binary
+  // frame in place into `query_view`, JSON into `*json`. Sets `query_key`
+  // and `query_request`; the queries are `query_view.queries` (binary) or
+  // `json->queries` (JSON). Errors are the codec's, and a message of
+  // another type is kInvalidArgument.
+  Status DecodeQuery(const std::string& body, bool binary,
+                     WireQueryRequest* json) {
+    auto wrong_type = [] {
+      return Status::InvalidArgument(
+          "endpoint expects a query_request message");
+    };
+    if (binary) {
+      auto decoded = DecodeQueryRequest(body, &query_view);
+      if (!decoded.ok()) {
+        return decoded.status();
+      }
+      if (!decoded.value()) {
+        // Another message type: a malformed one keeps the full decoder's
+        // error, a well-formed one is the wrong message for this endpoint.
+        const auto other = DecodeFrame(body);
+        return other.ok() ? wrong_type() : other.status();
+      }
+      query_key.tenant.assign(query_view.tenant);
+      query_key.dataset.assign(query_view.dataset);
+      query_request.publisher.assign(query_view.publisher);
+      query_request.epsilon = query_view.epsilon;
+      query_request.seed = query_view.seed;
+      return Status::Ok();
+    }
+    auto decoded = DecodeJson(body);
+    if (!decoded.ok()) {
+      return decoded.status();
+    }
+    if (decoded.value().type != WireType::kQueryRequest) {
+      return wrong_type();
+    }
+    *json = std::move(decoded.value().query_request);
+    query_key.tenant = json->tenant;
+    query_key.dataset = json->dataset;
+    query_request = json->request;
+    return Status::Ok();
+  }
+
   // Routes one complete parsed request. Returns false when the connection
   // must close immediately (unrecoverable protocol state).
   void HandleRequest(Conn& conn) {
@@ -426,39 +549,35 @@ struct NetServer::Impl {
                   binary, close));
       return;
     }
-    auto decoded =
-        binary ? DecodeFrame(request.body) : DecodeJson(request.body);
+    WireQueryRequest json_request;
+    const Status decoded = DecodeQuery(request.body, binary, &json_request);
     if (!decoded.ok()) {
       errors.Increment();
-      Respond(conn, BuildErrorResponse(decoded.status(), binary, close));
+      Respond(conn, BuildErrorResponse(decoded, binary, close));
       return;
     }
-    if (decoded.value().type != WireType::kQueryRequest) {
-      errors.Increment();
-      Respond(conn, BuildErrorResponse(
-                        Status::InvalidArgument(
-                            "endpoint expects a query_request message"),
-                        binary, close));
-      return;
-    }
+    const std::vector<RangeQuery>& queries =
+        binary ? query_view.queries : json_request.queries;
 
     // Fast lane: a release already sealed in the cache involves no
     // publisher, no budget charge, and no journal write — nothing that
     // can block or queue — so answer it inline on the event loop instead
     // of paying the worker handoff and the completion-queue round trip.
-    // Sub-microsecond per request (O(1) prefix subtractions, pre-encoded
-    // release frames), so loop occupancy stays negligible. Disabled by
-    // `encoded_cache = false` (A/B benching) and by a handler_hook (tests
-    // that must observe every request on a worker).
+    // The loop, not the pool, is what saturates under pipelined load —
+    // it runs near fully busy while the workers idle — so this lane
+    // copies nothing it can read in place: the query is decoded as a
+    // view, answered into a reused vector and written straight into the
+    // connection's output buffer, and it never forks onto the pool,
+    // whatever the batch size, since every connection waits while the
+    // loop does. Disabled by `encoded_cache = false` (A/B benching) and
+    // by a handler_hook (tests that must observe every request on a
+    // worker).
     if (options.encoded_cache && !options.handler_hook) {
-      const WireQueryRequest& query_request = decoded.value().query_request;
-      const serve::TenantKey tenant_key{query_request.tenant,
-                                        query_request.dataset};
       const auto start = std::chrono::steady_clock::now();
+      bool answered = false;
       if (target == "/v1/query") {
-        serve::BatchAnswer answered;
-        auto hit = server->TryAnswerCached(tenant_key, query_request.queries,
-                                           query_request.request, &answered);
+        auto hit = server->TryAnswerCached(query_key, queries, query_request,
+                                           &fast_answer);
         if (!hit.ok()) {
           // Same typed error the dispatched path would produce (bad
           // queries, cross-tenant probe); the fast lane never masks one.
@@ -467,38 +586,29 @@ struct NetServer::Impl {
           return;
         }
         if (hit.value()) {
-          WireBatchAnswer answer;
-          answer.stale = answered.stale;
-          answer.cache_hit = answered.cache_hit;
-          answer.served = answered.served;
-          answer.answers = std::move(answered.answers);
-          Respond(conn,
-                  BuildResponse(200, StatusCode::kOk, binary,
-                                binary ? EncodeBatchAnswer(answer)
-                                       : EncodeBatchAnswerJson(answer),
-                                close));
-          if (obs::Enabled()) {
-            request_ms.Record(std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count());
-          }
-          return;
+          AppendAnswerResponse(OutBuffer(conn), binary, close,
+                               fast_answer.answers, fast_answer.stale,
+                               fast_answer.cache_hit, fast_answer.served);
+          requests.Increment();
+          answered = true;
         }
       } else {  // /v1/release
-        auto release =
-            server->TryGetCached(tenant_key, query_request.request);
+        auto release = server->TryGetCached(query_key, query_request);
         if (release != nullptr) {
           Respond(conn, BuildSharedResponse(
                             200, StatusCode::kOk, binary,
                             ReleaseFrame(*release, binary, /*use_cache=*/true),
                             close));
-          if (obs::Enabled()) {
-            request_ms.Record(std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count());
-          }
-          return;
+          answered = true;
         }
+      }
+      if (answered) {
+        if (obs::Enabled()) {
+          request_ms.Record(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+        }
+        return;
       }
       // Not sealed yet: fall through to the dispatched path (coalescing,
       // admission control, publish) unchanged.
@@ -527,7 +637,10 @@ struct NetServer::Impl {
 
     PendingQuery pending;
     pending.conn_id = conn.id;
-    pending.request = std::move(decoded.value().query_request);
+    pending.request.tenant = query_key.tenant;
+    pending.request.dataset = query_key.dataset;
+    pending.request.request = query_request;
+    pending.request.queries = queries;
     pending.binary = binary;
     pending.close = close;
     pending.start = std::chrono::steady_clock::now();
@@ -559,27 +672,41 @@ struct NetServer::Impl {
     }
   }
 
-  // Feeds buffered bytes to the connection's parser; dispatches or
-  // responds as requests complete. Stops at a dispatched request (single
-  // outstanding) or when bytes run out.
-  void ProcessInbuf(Conn& conn) {
-    while (!conn.dispatched && !conn.close_after_write && !conn.inbuf.empty()) {
+  // Feeds `bytes` to the connection's parser, handling each request as it
+  // completes, until a request is dispatched (single outstanding), the
+  // connection is closing, or the bytes run out. Returns how many bytes
+  // were consumed; the parser itself holds any incomplete request.
+  std::size_t ProcessBytes(Conn& conn, std::string_view bytes) {
+    std::size_t used = 0;
+    while (!conn.dispatched && !conn.close_after_write && used < bytes.size()) {
       std::size_t consumed = 0;
-      const HttpParser::State state = conn.parser.Feed(conn.inbuf, &consumed);
-      conn.inbuf.erase(0, consumed);
+      const HttpParser::State state =
+          conn.parser.Feed(bytes.substr(used), &consumed);
+      used += consumed;
       if (state == HttpParser::State::kNeedMore) {
-        return;
+        break;
       }
       if (state == HttpParser::State::kError) {
         errors.Increment();
         conn.outq.push_back(BuildTextResponse(conn.parser.error_status(),
                                               conn.parser.error() + "\n"));
         conn.close_after_write = true;
-        return;
+        break;
       }
       HandleRequest(conn);
       conn.parser.Reset();
+      // One outsized batch must not pin its memory in the loop's scratch
+      // for the server's lifetime.
+      TrimScratch(query_view.queries);
+      TrimScratch(fast_answer.answers);
     }
+    return used;
+  }
+
+  // Processes the bytes a dispatched request left unread, then drops the
+  // consumed prefix — one compaction per call, not one per request.
+  void ProcessInbuf(Conn& conn) {
+    conn.inbuf.erase(0, ProcessBytes(conn, conn.inbuf));
   }
 
   // Writes as much of the connection's output queue as the socket will
@@ -782,8 +909,15 @@ struct NetServer::Impl {
             continue;
           }
           if (n > 0) {
-            conn.inbuf.append(buffer, static_cast<std::size_t>(n));
-            ProcessInbuf(conn);
+            const std::string_view fresh(buffer, static_cast<std::size_t>(n));
+            if (conn.inbuf.empty()) {
+              // The common case: parse straight from the read buffer, and
+              // keep only what a dispatched request leaves unread.
+              conn.inbuf.assign(fresh.substr(ProcessBytes(conn, fresh)));
+            } else {
+              conn.inbuf.append(fresh);
+              ProcessInbuf(conn);
+            }
             // Fast-lane responses were built inline just now: flush them
             // before going back to poll, so a pipelined burst completes
             // in this round instead of waiting for a POLLOUT wakeup.

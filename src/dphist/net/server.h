@@ -84,7 +84,10 @@ struct NetServerOptions {
 /// back per request. Answers are per-query O(1) prefix subtractions, so
 /// coalescing is invisible in the results; it exists so a thundering herd
 /// on a cold key costs one publisher invocation (and one budget charge)
-/// end to end, even before the release cache's per-key publish slot.
+/// end to end, even before the release cache's per-key publish slot. A
+/// merged batch that fails kInvalidArgument (one member's bad query) is
+/// answered again member by member, so each request gets exactly the
+/// answer or error it would have got alone.
 ///
 /// Endpoints:
 ///   POST /v1/query    query request -> batch answer (codec by
@@ -97,9 +100,11 @@ struct NetServerOptions {
 /// Fast lane (when `encoded_cache` is on and no handler_hook is set): a
 /// request whose release is already sealed in the cache is answered
 /// inline on the event loop — one counting cache lookup, O(1) prefix
-/// subtractions per query, and for /v1/release the release's pre-encoded
-/// frame shipped as a zero-copy second `writev` segment. No worker
-/// handoff, no completion-queue round trip, no admission charge: the
+/// subtractions per query on the loop itself at any batch size (the loop
+/// never waits on a pool fork/join), the answer written in place into the
+/// connection's output buffer, and for /v1/release the release's
+/// pre-encoded frame shipped as a zero-copy second `writev` segment. No
+/// worker handoff, no completion-queue round trip, no admission charge: the
 /// admission bound exists to keep publisher work from queueing
 /// unboundedly, and a sealed release involves no publisher work. Requests
 /// whose release is NOT yet cached take the dispatched path unchanged

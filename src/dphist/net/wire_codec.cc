@@ -18,22 +18,50 @@ using binio::Crc32;
 using binio::Cursor;
 using binio::GetF64;
 using binio::GetStr;
+using binio::GetStrView;
 using binio::GetU32;
 using binio::GetU64;
+using binio::LoadU64;
 using binio::PutF64;
+using binio::PutF64s;
 using binio::PutStr;
 using binio::PutU32;
 using binio::PutU64;
+using binio::StoreU32;
 
-// Wraps an encoded payload into a complete frame.
-std::string Frame(std::string payload) {
-  std::string out;
-  out.reserve(kWireMagicLen + 8 + payload.size());
+// Magic, payload length, CRC.
+constexpr std::size_t kFrameHeaderLen = kWireMagicLen + 8;
+
+// Starts a frame at the end of `out`: the magic and room for the length
+// and CRC that EndFrame fills in once the payload follows. Returns the
+// frame's offset.
+std::size_t BeginFrame(std::string& out) {
+  const std::size_t frame = out.size();
   out.append(kWireMagic, kWireMagicLen);
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  PutU32(out, Crc32(payload));
-  out += payload;
-  return out;
+  out.append(8, '\0');
+  return frame;
+}
+
+// Completes the frame BeginFrame started at `frame`: everything after its
+// header is the payload, measured and CRC'd where it lies.
+void EndFrame(std::string& out, std::size_t frame) {
+  const std::string_view payload =
+      std::string_view(out).substr(frame + kFrameHeaderLen);
+  const std::uint32_t crc = Crc32(payload);
+  StoreU32(out.data() + frame + kWireMagicLen,
+           static_cast<std::uint32_t>(payload.size()));
+  StoreU32(out.data() + frame + kWireMagicLen + 4, crc);
+}
+
+// A payload's type tag.
+void PutType(std::string& out, WireType type) {
+  out.push_back(static_cast<char>(type));
+}
+
+// Encoded size of a key, as PutKey writes it.
+std::size_t KeySize(const serve::ReleaseKey& key) {
+  return 4 + key.tenant.size() + 4 + key.dataset.size() + 8 + 4 +
+         key.publisher.size() + 8 + 8;
 }
 
 void PutKey(std::string& out, const serve::ReleaseKey& key) {
@@ -312,70 +340,101 @@ Status WireError::ToStatus() const {
 }
 
 std::string EncodeQueryRequest(const WireQueryRequest& request) {
-  std::string payload;
-  payload.push_back(static_cast<char>(WireType::kQueryRequest));
-  PutStr(payload, request.tenant);
-  PutStr(payload, request.dataset);
-  PutStr(payload, request.request.publisher);
-  PutF64(payload, request.request.epsilon);
-  PutU64(payload, request.request.seed);
-  PutU32(payload, static_cast<std::uint32_t>(request.queries.size()));
+  std::string out;
+  // Exactly the frame, as every encoder reserves: growth by doubling
+  // leaves up to twice the bytes behind in a caller that encodes many.
+  out.reserve(kFrameHeaderLen + 1 + 4 + request.tenant.size() + 4 +
+              request.dataset.size() + 4 + request.request.publisher.size() +
+              8 + 8 + 4 + 16 * request.queries.size());
+  const std::size_t frame = BeginFrame(out);
+  PutType(out, WireType::kQueryRequest);
+  PutStr(out, request.tenant);
+  PutStr(out, request.dataset);
+  PutStr(out, request.request.publisher);
+  PutF64(out, request.request.epsilon);
+  PutU64(out, request.request.seed);
+  PutU32(out, static_cast<std::uint32_t>(request.queries.size()));
   for (const RangeQuery& query : request.queries) {
-    PutU64(payload, query.begin);
-    PutU64(payload, query.end);
+    PutU64(out, query.begin);
+    PutU64(out, query.end);
   }
-  return Frame(std::move(payload));
+  EndFrame(out, frame);
+  return out;
+}
+
+std::size_t BatchAnswerFrameSize(const serve::ReleaseKey& served,
+                                 std::size_t answer_count) {
+  return kFrameHeaderLen + 3 + KeySize(served) + 4 + 8 * answer_count;
+}
+
+void AppendBatchAnswer(std::string& out, std::span<const double> answers,
+                       bool stale, bool cache_hit,
+                       const serve::ReleaseKey& served) {
+  const std::size_t frame = BeginFrame(out);
+  PutType(out, WireType::kBatchAnswer);
+  out.push_back(stale ? 1 : 0);
+  out.push_back(cache_hit ? 1 : 0);
+  PutKey(out, served);
+  PutU32(out, static_cast<std::uint32_t>(answers.size()));
+  PutF64s(out, answers);
+  EndFrame(out, frame);
 }
 
 std::string EncodeBatchAnswer(const WireBatchAnswer& answer) {
-  std::string payload;
-  payload.push_back(static_cast<char>(WireType::kBatchAnswer));
-  payload.push_back(answer.stale ? 1 : 0);
-  payload.push_back(answer.cache_hit ? 1 : 0);
-  PutKey(payload, answer.served);
-  PutU32(payload, static_cast<std::uint32_t>(answer.answers.size()));
-  for (const double value : answer.answers) {
-    PutF64(payload, value);
-  }
-  return Frame(std::move(payload));
+  std::string out;
+  out.reserve(BatchAnswerFrameSize(answer.served, answer.answers.size()));
+  AppendBatchAnswer(out, answer.answers, answer.stale, answer.cache_hit,
+                    answer.served);
+  return out;
 }
 
 std::string EncodeHistogram(const WireHistogram& histogram) {
-  std::string payload;
-  payload.push_back(static_cast<char>(WireType::kHistogram));
-  PutKey(payload, histogram.key);
-  PutU32(payload, static_cast<std::uint32_t>(histogram.counts.size()));
-  for (const double value : histogram.counts) {
-    PutF64(payload, value);
-  }
-  return Frame(std::move(payload));
+  std::string out;
+  out.reserve(kFrameHeaderLen + 1 + KeySize(histogram.key) + 4 +
+              8 * histogram.counts.size());
+  const std::size_t frame = BeginFrame(out);
+  PutType(out, WireType::kHistogram);
+  PutKey(out, histogram.key);
+  PutU32(out, static_cast<std::uint32_t>(histogram.counts.size()));
+  PutF64s(out, histogram.counts);
+  EndFrame(out, frame);
+  return out;
 }
 
 std::string EncodeSparseHistogram(const WireSparseHistogram& histogram) {
-  std::string payload;
-  payload.push_back(static_cast<char>(WireType::kSparseHistogram));
-  PutKey(payload, histogram.key);
-  PutU64(payload, histogram.domain_size);
   const std::size_t entries =
       std::min(histogram.keys.size(), histogram.counts.size());
-  PutU32(payload, static_cast<std::uint32_t>(entries));
+  std::string out;
+  out.reserve(kFrameHeaderLen + 1 + KeySize(histogram.key) + 12 + 16 * entries);
+  const std::size_t frame = BeginFrame(out);
+  PutType(out, WireType::kSparseHistogram);
+  PutKey(out, histogram.key);
+  PutU64(out, histogram.domain_size);
+  PutU32(out, static_cast<std::uint32_t>(entries));
   for (std::size_t i = 0; i < entries; ++i) {
-    PutU64(payload, histogram.keys[i]);
-    PutF64(payload, histogram.counts[i]);
+    PutU64(out, histogram.keys[i]);
+    PutF64(out, histogram.counts[i]);
   }
-  return Frame(std::move(payload));
+  EndFrame(out, frame);
+  return out;
 }
 
 std::string EncodeError(const Status& status) {
-  std::string payload;
-  payload.push_back(static_cast<char>(WireType::kError));
-  PutU32(payload, static_cast<std::uint32_t>(status.code()));
-  PutStr(payload, status.message());
-  return Frame(std::move(payload));
+  std::string out;
+  const std::size_t frame = BeginFrame(out);
+  PutType(out, WireType::kError);
+  PutU32(out, static_cast<std::uint32_t>(status.code()));
+  PutStr(out, status.message());
+  EndFrame(out, frame);
+  return out;
 }
 
-Result<WireMessage> DecodeFrame(std::string_view bytes) {
-  if (bytes.size() < kWireMagicLen + 8 ||
+namespace {
+
+// Checks a frame's magic, length and CRC, and returns its (non-empty)
+// payload.
+Result<std::string_view> ReadFrame(std::string_view bytes) {
+  if (bytes.size() < kFrameHeaderLen ||
       std::memcmp(bytes.data(), kWireMagic, kWireMagicLen) != 0) {
     return Status::DataLoss("wire codec: bad magic or truncated frame");
   }
@@ -394,35 +453,70 @@ Result<WireMessage> DecodeFrame(std::string_view bytes) {
   if (payload.empty()) {
     return BodyError("empty payload");
   }
+  return payload;
+}
+
+// A query request's body, after its type tag, read in place.
+Status ReadQueryRequest(Cursor& in, QueryRequestView* out) {
+  std::uint32_t count = 0;
+  if (!GetStrView(in, &out->tenant) || !GetStrView(in, &out->dataset) ||
+      !GetStrView(in, &out->publisher) || !GetF64(in, &out->epsilon) ||
+      !GetU64(in, &out->seed) || !GetU32(in, &count)) {
+    return BodyError("truncated query request");
+  }
+  // Each query is 16 payload bytes, so `count` beyond the remaining
+  // payload is corrupt (the CRC already passed, but defense in depth
+  // costs one compare) — checked before the vector grows.
+  const std::size_t query_bytes = static_cast<std::size_t>(count) * 16;
+  if (!in.Remaining(query_bytes)) {
+    return BodyError("query count exceeds payload");
+  }
+  out->queries.resize(count);
+  const char* p = in.here();
+  for (RangeQuery& query : out->queries) {
+    query = RangeQuery{static_cast<std::size_t>(LoadU64(p)),
+                       static_cast<std::size_t>(LoadU64(p + 8))};
+    p += 16;
+  }
+  in.pos += query_bytes;
+  return Status::Ok();
+}
+
+Status TrailingBytes(const Cursor& in) {
+  return in.pos == in.bytes.size() ? Status::Ok()
+                                   : BodyError("trailing payload bytes");
+}
+
+}  // namespace
+
+Result<bool> DecodeQueryRequest(std::string_view bytes, QueryRequestView* out) {
+  DPHIST_ASSIGN_OR_RETURN(const std::string_view payload, ReadFrame(bytes));
+  if (static_cast<WireType>(static_cast<unsigned char>(payload[0])) !=
+      WireType::kQueryRequest) {
+    return false;
+  }
+  Cursor in{payload, 1};
+  DPHIST_RETURN_IF_ERROR(ReadQueryRequest(in, out));
+  DPHIST_RETURN_IF_ERROR(TrailingBytes(in));
+  return true;
+}
+
+Result<WireMessage> DecodeFrame(std::string_view bytes) {
+  DPHIST_ASSIGN_OR_RETURN(const std::string_view payload, ReadFrame(bytes));
   Cursor in{payload, 1};
   WireMessage message;
   switch (static_cast<WireType>(static_cast<unsigned char>(payload[0]))) {
     case WireType::kQueryRequest: {
+      QueryRequestView view;
+      DPHIST_RETURN_IF_ERROR(ReadQueryRequest(in, &view));
       message.type = WireType::kQueryRequest;
       WireQueryRequest& request = message.query_request;
-      std::uint32_t count = 0;
-      if (!GetStr(in, &request.tenant) || !GetStr(in, &request.dataset) ||
-          !GetStr(in, &request.request.publisher) ||
-          !GetF64(in, &request.request.epsilon) ||
-          !GetU64(in, &request.request.seed) || !GetU32(in, &count)) {
-        return BodyError("truncated query request");
-      }
-      // Cheap sanity bound before reserving: each query is 16 payload
-      // bytes, so `count` beyond the remaining payload is corrupt (the
-      // CRC already passed, but defense in depth costs one compare).
-      if (!in.Remaining(static_cast<std::size_t>(count) * 16)) {
-        return BodyError("query count exceeds payload");
-      }
-      request.queries.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint64_t begin = 0;
-        std::uint64_t end = 0;
-        if (!GetU64(in, &begin) || !GetU64(in, &end)) {
-          return BodyError("truncated query");
-        }
-        request.queries.push_back(RangeQuery{static_cast<std::size_t>(begin),
-                                             static_cast<std::size_t>(end)});
-      }
+      request.tenant = view.tenant;
+      request.dataset = view.dataset;
+      request.request.publisher = view.publisher;
+      request.request.epsilon = view.epsilon;
+      request.request.seed = view.seed;
+      request.queries = std::move(view.queries);
       break;
     }
     case WireType::kBatchAnswer: {
@@ -510,9 +604,7 @@ Result<WireMessage> DecodeFrame(std::string_view bytes) {
     default:
       return BodyError("unknown message type");
   }
-  if (in.pos != payload.size()) {
-    return BodyError("trailing payload bytes");
-  }
+  DPHIST_RETURN_IF_ERROR(TrailingBytes(in));
   return message;
 }
 

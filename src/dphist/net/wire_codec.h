@@ -2,6 +2,7 @@
 #define DPHIST_NET_WIRE_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -128,6 +129,20 @@ struct WireError {
   friend bool operator==(const WireError&, const WireError&) = default;
 };
 
+/// \brief A binary query request read in place by `DecodeQueryRequest`:
+/// the strings are views into the frame's bytes, valid only while those
+/// bytes are, and `queries` is refilled by every decode, so a caller that
+/// keeps one view allocates nothing once the vector has grown to its
+/// batch size.
+struct QueryRequestView {
+  std::string_view tenant;
+  std::string_view dataset;
+  std::string_view publisher;
+  double epsilon = 0.0;
+  std::uint64_t seed = 0;
+  std::vector<RangeQuery> queries;
+};
+
 /// \brief One decoded message: `type` says which member is meaningful.
 struct WireMessage {
   WireType type = WireType::kError;
@@ -142,6 +157,18 @@ struct WireMessage {
 
 std::string EncodeQueryRequest(const WireQueryRequest& request);
 std::string EncodeBatchAnswer(const WireBatchAnswer& answer);
+
+/// The batch-answer writer behind `EncodeBatchAnswer` and the server's
+/// responses: appends one complete frame to `out`, with the answers copied
+/// as one block and the CRC computed over the payload where it lies.
+void AppendBatchAnswer(std::string& out, std::span<const double> answers,
+                       bool stale, bool cache_hit,
+                       const serve::ReleaseKey& served);
+
+/// Bytes `AppendBatchAnswer` writes for `answer_count` answers from
+/// `served` — what a response head announces before the frame exists.
+std::size_t BatchAnswerFrameSize(const serve::ReleaseKey& served,
+                                 std::size_t answer_count);
 std::string EncodeHistogram(const WireHistogram& histogram);
 std::string EncodeSparseHistogram(const WireSparseHistogram& histogram);
 std::string EncodeError(const Status& status);
@@ -150,6 +177,12 @@ std::string EncodeError(const Status& status);
 /// that does not match the buffer, or a CRC mismatch; kParseError on a
 /// well-framed payload whose body does not decode.
 Result<WireMessage> DecodeFrame(std::string_view bytes);
+
+/// The query-request decoder behind `DecodeFrame`'s query arm, without the
+/// owned copy: reads `bytes` as a query request into `*out`. Errors are
+/// DecodeFrame's; a valid frame of another message type is Ok(false),
+/// with its payload left unread and `*out` unspecified.
+Result<bool> DecodeQueryRequest(std::string_view bytes, QueryRequestView* out);
 
 // --- JSON fallback (same message shapes, flat objects) ---
 

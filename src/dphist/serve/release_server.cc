@@ -334,13 +334,14 @@ Result<BatchAnswer> ReleaseServer::AnswerBatch(
     }
   }
   batch.served = release->key();
-  AnswerInto(*release, queries, &batch.answers);
+  AnswerInto(*release, queries, &batch.answers, /*may_fan_out=*/true);
   return batch;
 }
 
 void ReleaseServer::AnswerInto(const CachedRelease& release,
                                const std::vector<RangeQuery>& queries,
-                               std::vector<double>* answers) const {
+                               std::vector<double>* answers,
+                               bool may_fan_out) const {
   answers->resize(queries.size());
   auto answer_range = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -355,7 +356,7 @@ void ReleaseServer::AnswerInto(const CachedRelease& release,
   // Chaos hook: induced pool-dispatch failure. The contract is graceful
   // degradation, not batch failure — the fan-out falls back to inline
   // answering, so only latency changes, never the answers.
-  if (pool.thread_count() > 1 &&
+  if (may_fan_out && pool.thread_count() > 1 &&
       queries.size() >= options_.min_parallel_batch &&
       !testing::FailpointFires("serve/pool_dispatch")) {
     pool.ParallelForChunks(0, queries.size(), /*min_chunk=*/64,
@@ -406,7 +407,10 @@ Result<bool> ReleaseServer::TryAnswerCached(
   out->stale = false;
   out->cache_hit = true;
   out->served = release->key();
-  AnswerInto(*release, queries, &out->answers);
+  // Inline at every batch size: this is the event loop's lane, and a loop
+  // waiting on a fork/join stalls every connection it serves. 1024 prefix
+  // answers cost a few microseconds; the fork/join alone cost 20.
+  AnswerInto(*release, queries, &out->answers, /*may_fan_out=*/false);
   return true;
 }
 

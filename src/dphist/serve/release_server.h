@@ -86,10 +86,10 @@ struct RetryPolicy {
 struct ReleaseServerOptions {
   /// Pool for the batched-query fan-out; nullptr means ThreadPool::Global().
   ThreadPool* pool = nullptr;
-  /// Batches smaller than this answer inline on the caller — each answer
-  /// is one O(1) prefix-sum subtraction, so fork/join only pays for
-  /// itself on large batches. Same documented cut-over constant as the
-  /// solver stages.
+  /// AnswerBatch batches smaller than this answer inline on the caller —
+  /// each answer is one O(1) prefix-sum subtraction, so fork/join only
+  /// pays for itself on large batches. Same documented cut-over constant
+  /// as the solver stages. TryAnswerCached never forks, whatever this is.
   std::size_t min_parallel_batch = kDefaultMinParallelCandidates;
   /// Retry policy for transient failures in AnswerBatch (see RetryPolicy).
   RetryPolicy retry;
@@ -237,7 +237,11 @@ class ReleaseServer {
   /// sealed in the cache, validates `queries`, answers them, fills `*out`
   /// (with `cache_hit = true`), and returns Ok(true) — equivalent
   /// byte-for-byte to what `AnswerBatch` would return, minus the retry and
-  /// degradation machinery that a cache hit never needs. Returns Ok(false)
+  /// degradation machinery that a cache hit never needs. It answers on the
+  /// calling thread at every batch size and never forks onto the pool:
+  /// the caller is the network event loop, which must not wait on workers.
+  /// `out->answers` is resized in place, so a caller that reuses one
+  /// BatchAnswer allocates nothing once it has grown. Returns Ok(false)
   /// when the release is not cached (the caller falls through to
   /// `AnswerBatch`), and an error status only for caller bugs
   /// (out-of-domain queries, cross-tenant probes) — exactly the errors
@@ -314,12 +318,14 @@ class ReleaseServer {
   /// FindDataset for the default namespace.
   Dataset* DefaultDataset() const;
 
-  /// Answers `queries` against a resolved release (shared fan-out core of
-  /// AnswerBatch and TryAnswerCached; identical parallelism cut-over, so
-  /// both lanes produce bit-identical answers at any pool width).
+  /// Answers `queries` against a resolved release (shared core of
+  /// AnswerBatch and TryAnswerCached). With `may_fan_out`, batches of at
+  /// least `min_parallel_batch` split across the pool; every answer is an
+  /// independent prefix subtraction, so both lanes produce bit-identical
+  /// answers at any pool width.
   void AnswerInto(const CachedRelease& release,
                   const std::vector<RangeQuery>& queries,
-                  std::vector<double>* answers) const;
+                  std::vector<double>* answers, bool may_fan_out) const;
 
   ReleaseServerOptions options_;
   ReleaseCache cache_;

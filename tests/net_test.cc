@@ -3,9 +3,11 @@
 // AnswerBatch calls in either codec and at any worker-pool size, a
 // saturated admission queue refuses with a typed kResourceExhausted (no
 // hang, no drop — the refused client retries and succeeds), coalescing
-// merges same-release queries into one serve-layer batch, and protocol
-// errors come back typed. These tests also run under ASan/UBSan and TSan
-// in CI (label `net`).
+// merges same-release queries into one serve-layer batch without letting
+// one member's bad query fail another, the event loop answers a sealed
+// release without forking onto the pool, and protocol errors come back
+// typed. These tests also run under ASan/UBSan and TSan in CI (label
+// `net`).
 
 #include "dphist/net/server.h"
 
@@ -25,6 +27,7 @@
 #include "dphist/net/client.h"
 #include "dphist/net/wire_codec.h"
 #include "dphist/obs/obs.h"
+#include "dphist/query/range_query.h"
 #include "dphist/serve/release_server.h"
 
 namespace dphist {
@@ -349,6 +352,96 @@ TEST(NetTest, SameReleaseQueriesCoalesceIntoOneBatch) {
   EXPECT_EQ(coalesced.value() - coalesced_before, 3u);
   EXPECT_LE(batches.value() - batches_before, 3u);
   EXPECT_GE(batches.value() - batches_before, 1u);
+}
+
+TEST(NetTest, OneBadQueryFailsOnlyItsOwnCoalescedRequest) {
+  HandlerGate gate(/*blocked=*/1);
+  NetServerOptions options;
+  options.max_inflight = 16;
+  options.handler_hook = [&gate] { gate.Enter(); };
+  TestStack stack(/*threads=*/4, options);
+
+  const WireQueryRequest good = TestQuery();
+  WireQueryRequest bad = TestQuery();
+  bad.queries = {{0, 4}, {2, 9}, {5, 1000}};  // query 2 leaves the domain
+
+  // The first request holds the group's leader inside its drain; the good
+  // and the bad request for the same release queue behind it, in that
+  // order, and are answered by the leader's next drain as one group.
+  Result<WireBatchAnswer> first = Status::Internal("unset");
+  Result<WireBatchAnswer> good_answer = Status::Internal("unset");
+  Result<WireBatchAnswer> bad_answer = Status::Internal("unset");
+  std::thread leader([&] { first = stack.Query(good, /*binary=*/true); });
+  gate.AwaitEntered(1);
+  std::thread good_client([&] {
+    good_answer = stack.Query(good, /*binary=*/true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::thread bad_client([&] {
+    bad_answer = stack.Query(bad, /*binary=*/false);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate.Release();
+  leader.join();
+  good_client.join();
+  bad_client.join();
+
+  auto release = stack.release_server.GetRelease(good.request);
+  ASSERT_TRUE(release.ok()) << release.status().ToString();
+  auto expected = AnswerQueries(release.value()->histogram(), good.queries);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value().answers, expected.value());
+  ASSERT_TRUE(good_answer.ok()) << good_answer.status().ToString();
+  EXPECT_EQ(good_answer.value().answers, expected.value());
+  // The bad request's 400 names its own query index, not its index in
+  // the merged batch.
+  ASSERT_FALSE(bad_answer.ok());
+  EXPECT_EQ(bad_answer.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = bad_answer.status().message();
+  EXPECT_NE(message.find("range query 2 "), std::string::npos) << message;
+  // One publication paid for everything.
+  EXPECT_EQ(stack.release_server.ledger().charge_count(), 1u);
+}
+
+TEST(NetTest, SealedLargeBatchIsAnsweredOnTheLoopWithoutForking) {
+  // A pool wide enough that AnswerBatch would split a 1024-query batch.
+  // The event loop must not: while it waits on a fork/join, every
+  // connection it serves stalls.
+  obs::Registry::Global().set_enabled(true);
+  ThreadPool pool(4);
+  serve::ReleaseServerOptions serve_options;
+  serve_options.pool = &pool;
+  serve::ReleaseServer release_server(TestTruth(), 100.0, serve_options);
+  NetServerOptions options;
+  options.pool = &pool;
+  NetServer server(&release_server, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  WireQueryRequest query = TestQuery();
+  query.queries.clear();
+  for (std::size_t i = 0; i < 1024; ++i) {
+    query.queries.push_back({i % 61, i % 61 + 1 + i % 3});
+  }
+  auto release = release_server.GetRelease(query.request);  // seal it
+  ASSERT_TRUE(release.ok()) << release.status().ToString();
+  auto expected = AnswerQueries(release.value()->histogram(), query.queries);
+  ASSERT_TRUE(expected.ok());
+
+  obs::Counter& dispatched =
+      obs::Registry::Global().GetCounter("threadpool/tasks_dispatched");
+  const std::uint64_t dispatched_before = dispatched.value();
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  for (const bool binary : {true, false}) {
+    auto answer = client.Query(query, binary);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(answer.value().answers, expected.value()) << binary;
+    EXPECT_TRUE(answer.value().cache_hit);
+  }
+  EXPECT_EQ(dispatched.value(), dispatched_before);
+  server.Stop();
+  obs::Registry::Global().set_enabled(false);
 }
 
 }  // namespace

@@ -189,6 +189,26 @@ TEST(HttpSerializeTest, ResponseHeadPlusBodyEqualsSerializeResponse) {
   EXPECT_EQ(SerializeResponseHead(message, 0), SerializeResponse(message));
 }
 
+TEST(HttpSerializeTest, ResponseHeadAppendsSerializeResponseHead) {
+  for (const bool close : {false, true}) {
+    HttpMessage message;
+    message.status = 200;
+    message.headers["content-type"] = kContentTypeBinary;
+    message.headers["x-dphist-status"] = "OK";
+    if (close) {
+      message.headers["connection"] = "close";
+    }
+    const ResponseHead head(message);
+    const std::size_t lengths[] = {0, 9, 10, 65536, std::size_t{1} << 40};
+    for (const std::size_t body_len : lengths) {
+      std::string out = "before";
+      head.Append(out, body_len);
+      EXPECT_EQ(out, "before" + SerializeResponseHead(message, body_len))
+          << body_len;
+    }
+  }
+}
+
 // --- frame identity and invalidation over the wire ---
 
 TEST(ServeFastTest, CachedFrameBytesIdenticalToFreshEncodeBothCodecs) {

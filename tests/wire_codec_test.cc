@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -215,6 +216,87 @@ TEST(WireCodecTest, GoldenFileRoundTrips) {
   auto decoded = DecodeFrame(golden);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded.value().batch_answer == reference);
+}
+
+TEST(WireCodecTest, QueryRequestViewDecodesWhatDecodeFrameDoes) {
+  // One view reused across sizes, growing and shrinking, as the event loop
+  // reuses it.
+  QueryRequestView view;
+  const std::size_t sizes[] = {37, 0, std::size_t{1} << 16, 1};
+  for (const std::size_t size : sizes) {
+    const WireQueryRequest request = SampleQueryRequest(size);
+    const std::string frame = EncodeQueryRequest(request);
+    auto decoded = DecodeQueryRequest(frame, &view);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_TRUE(decoded.value());
+    EXPECT_EQ(view.tenant, request.tenant);
+    EXPECT_EQ(view.dataset, request.dataset);
+    EXPECT_EQ(view.publisher, request.request.publisher);
+    EXPECT_EQ(view.epsilon, request.request.epsilon);
+    EXPECT_EQ(view.seed, request.request.seed);
+    EXPECT_EQ(view.queries, request.queries) << "size " << size;
+    // The strings are views into the frame, not copies.
+    EXPECT_GE(view.tenant.data(), frame.data());
+    EXPECT_LT(view.tenant.data(), frame.data() + frame.size());
+  }
+  // Another message type is not an error of this decoder.
+  const std::string answer = EncodeBatchAnswer(SampleBatchAnswer(2));
+  auto other = DecodeQueryRequest(answer, &view);
+  ASSERT_TRUE(other.ok());
+  EXPECT_FALSE(other.value());
+}
+
+TEST(WireCodecTest, QueryRequestViewRejectsWhatDecodeFrameRejects) {
+  // Same framing contract, same status codes, for every truncation and
+  // every single-bit flip of a query request.
+  const std::string frame = EncodeQueryRequest(SampleQueryRequest(3));
+  QueryRequestView view;
+  auto expect_same = [&view](const std::string& bytes) {
+    auto full = DecodeFrame(bytes);
+    auto in_place = DecodeQueryRequest(bytes, &view);
+    if (full.ok()) {
+      ASSERT_TRUE(in_place.ok());
+      EXPECT_EQ(in_place.value(), full.value().type == WireType::kQueryRequest);
+      return;
+    }
+    ASSERT_FALSE(in_place.ok());
+    EXPECT_EQ(in_place.status().code(), full.status().code());
+  };
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    expect_same(frame.substr(0, len));
+  }
+  for (std::size_t byte = 0; byte < frame.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = frame;
+      corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
+      expect_same(corrupt);
+      EXPECT_FALSE(DecodeQueryRequest(corrupt, &view).ok())
+          << "bit " << bit << " of byte " << byte << " flipped undetected";
+    }
+  }
+  expect_same(frame + '\0');
+}
+
+TEST(WireCodecTest, BatchAnswerWriterAppendsTheEncodedFrame) {
+  for (const std::size_t size : kSizes) {
+    const WireBatchAnswer answer = SampleBatchAnswer(size);
+    const std::string frame = EncodeBatchAnswer(answer);
+    EXPECT_EQ(frame.size(), BatchAnswerFrameSize(answer.served, size));
+    // Appending behind other bytes writes the same frame, CRC included.
+    std::string out = "prefix";
+    AppendBatchAnswer(out, answer.answers, answer.stale, answer.cache_hit,
+                      answer.served);
+    EXPECT_EQ(out, "prefix" + frame) << "size " << size;
+  }
+  // A slice of a larger answer vector encodes as that slice alone — how a
+  // coalesced batch is split back per request.
+  const WireBatchAnswer whole = SampleBatchAnswer(10);
+  WireBatchAnswer slice = whole;
+  slice.answers.assign(whole.answers.begin() + 3, whole.answers.begin() + 7);
+  std::string out;
+  AppendBatchAnswer(out, std::span<const double>(whole.answers).subspan(3, 4),
+                    whole.stale, whole.cache_hit, whole.served);
+  EXPECT_EQ(out, EncodeBatchAnswer(slice));
 }
 
 TEST(WireCodecTest, MalformedJsonIsTyped) {
