@@ -5,12 +5,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "dphist/common/binary_io.h"
 #include "dphist/data/generators.h"
 #include "dphist/hist/fenwick.h"
 #include "dphist/obs/export.h"
@@ -21,6 +26,7 @@
 #include "dphist/random/distributions.h"
 #include "dphist/random/noise_batch.h"
 #include "dphist/random/rng.h"
+#include "dphist/sparse/sparse_histogram.h"
 #include "dphist/transform/haar_wavelet.h"
 #include "dphist/transform/interval_tree.h"
 
@@ -355,12 +361,138 @@ void RunCostBuildTable(dphist_bench::BenchJsonWriter& json) {
   }
 }
 
+// Median of `reps` timed runs of `run`, in milliseconds.
+template <typename Run>
+double MedianMs(std::size_t reps, Run run) {
+  std::vector<double> wall_ms;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    wall_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  std::sort(wall_ms.begin(), wall_ms.end());
+  return wall_ms[wall_ms.size() / 2];
+}
+
+// The M1 CRC-32 table: per frame size, the median wall time of CRC-32 over
+// 16 MiB of frames cut from a 64 KiB buffer that stays in cache, as the
+// event loop's frames do — `binio::Crc32` (the PCLMULQDQ fold where the
+// CPU has one) against the portable slicing-by-8 tables, with its speedup.
+void RunCrc32Table(dphist_bench::BenchJsonWriter& json) {
+  constexpr std::size_t kBufferBytes = std::size_t{64} << 10;
+  constexpr std::size_t kSweepBytes = std::size_t{16} << 20;
+  std::string buffer(kBufferBytes, '\0');
+  dphist::Rng rng(7);
+  for (char& c : buffer) {
+    c = static_cast<char>(rng.NextUint64());
+  }
+  const std::size_t reps = dphist_bench::Repetitions();
+  std::printf("\n-- m1_crc32: ns per frame --\n");
+  for (const std::size_t bytes :
+       {std::size_t{64}, std::size_t{1024}, std::size_t{16384}}) {
+    const std::size_t frames = kSweepBytes / bytes;
+    double portable_ms = 0.0;
+    for (const bool portable : {true, false}) {
+      const double median = MedianMs(reps, [&] {
+        std::uint32_t sink = 0;
+        for (std::size_t i = 0; i < frames; ++i) {
+          const std::string_view frame(
+              buffer.data() + (i * bytes) % kBufferBytes, bytes);
+          sink ^= portable ? dphist::binio::Crc32Portable(frame)
+                           : dphist::binio::Crc32(frame);
+        }
+        benchmark::DoNotOptimize(sink);
+      });
+      const char* algo = portable ? "crc32_portable" : "crc32";
+      std::printf("%-15s %6zu B  %8.1f ns\n", algo, bytes,
+                  median * 1e6 / static_cast<double>(frames));
+      auto row = json.Row()
+                     .Str("fig", "m1_crc32")
+                     .Str("algo", algo)
+                     .Num("bytes", static_cast<double>(bytes))
+                     .Num("n", static_cast<double>(frames))
+                     .Num("crc_ms", median);
+      if (portable) {
+        portable_ms = median;
+      } else {
+        row.Num("speedup", portable_ms / median);
+      }
+      json.AddRow(row);
+    }
+  }
+}
+
+// The M1 sparse range-sum table: the median wall time of 65 536 fresh
+// random queries (each endpoint drawn uniformly, none repeated within a
+// sweep) against a 1025-key release over a 2^40 domain, the shape of
+// perfbench's sparse release. "spread" draws keys and endpoints over the
+// whole domain. "clustered" packs the keys into one 2^29-key span — one
+// bucket of the range-sum index — and draws the endpoints there too, so
+// every endpoint searches all 1025 keys: the index's worst case.
+void RunSparseRangeSumTable(dphist_bench::BenchJsonWriter& json) {
+  constexpr std::uint64_t kDomain = std::uint64_t{1} << 40;
+  constexpr std::size_t kKeys = 1025;
+  constexpr std::size_t kQueries = 65536;
+  struct Shape {
+    const char* dataset;
+    std::uint64_t low;
+    std::uint64_t span;
+  };
+  const Shape shapes[] = {{"spread", 0, kDomain},
+                          {"clustered", kDomain / 2, std::uint64_t{1} << 29}};
+  const std::size_t reps = dphist_bench::Repetitions();
+  std::printf("\n-- m1_sparse_range_sum: ns per query --\n");
+  for (const Shape& shape : shapes) {
+    dphist::Rng rng(11);
+    std::set<std::uint64_t> keys;
+    while (keys.size() < kKeys) {
+      keys.insert(shape.low + rng.NextUint64() % shape.span);
+    }
+    std::vector<dphist::sparse::SparseEntry> entries;
+    for (const std::uint64_t key : keys) {
+      entries.push_back(
+          {key, static_cast<double>(rng.NextUint64() % 1000) + 0.5});
+    }
+    const auto histogram =
+        dphist::sparse::SparseHistogram::Create(kDomain, std::move(entries))
+            .value();
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> queries(kQueries);
+    for (auto& [begin, end] : queries) {
+      begin = shape.low + rng.NextUint64() % (shape.span + 1);
+      end = shape.low + rng.NextUint64() % (shape.span + 1);
+      if (begin > end) {
+        std::swap(begin, end);
+      }
+    }
+    const double median = MedianMs(reps, [&] {
+      double sum = 0.0;
+      for (const auto& [begin, end] : queries) {
+        sum += histogram.RangeSumUnchecked(begin, end);
+      }
+      benchmark::DoNotOptimize(sum);
+    });
+    std::printf("%-10s %8.1f ns\n", shape.dataset,
+                median * 1e6 / static_cast<double>(kQueries));
+    json.AddRow(json.Row()
+                    .Str("fig", "m1_sparse_range_sum")
+                    .Str("algo", "sparse_range_sum")
+                    .Str("dataset", shape.dataset)
+                    .Num("domain", static_cast<double>(kDomain))
+                    .Num("keys", static_cast<double>(kKeys))
+                    .Num("n", static_cast<double>(kQueries))
+                    .Num("sweep_ms", median));
+  }
+}
+
 }  // namespace
 
-// Custom main (instead of benchmark_main) so the strategy, cost-build and
-// noise tables run and the obs registry snapshot — solver counters,
-// interval-cost build stats, draw counts — is exported after the
-// benchmarks (BenchJsonWriter::Finish handles the DPHIST_OBS_OUT export).
+// Custom main (instead of benchmark_main) so the strategy, cost-build,
+// noise, CRC-32 and sparse range-sum tables run and the obs registry
+// snapshot — solver counters, interval-cost build stats, draw counts — is
+// exported after the benchmarks (BenchJsonWriter::Finish handles the
+// DPHIST_OBS_OUT export).
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
@@ -372,6 +504,8 @@ int main(int argc, char** argv) {
   RunVOptStrategyTable(json);
   RunCostBuildTable(json);
   RunNoiseBatchTable(json);
+  RunCrc32Table(json);
+  RunSparseRangeSumTable(json);
   json.Finish();
   return 0;
 }

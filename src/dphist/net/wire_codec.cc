@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <system_error>
 #include <utility>
 
@@ -244,9 +246,10 @@ bool SplitQueries(std::string_view text, std::vector<RangeQuery>* out) {
   return true;
 }
 
-// Field accessors over a parsed flat-JSON object.
-bool JsonStr(const obs::JsonObject& object, const std::string& key,
-             std::string* out) {
+// Field accessors over a parsed flat-JSON object. A string field is read
+// as a view into the object, valid while the object is.
+bool JsonStr(const obs::JsonObject& object, std::string_view key,
+             std::string_view* out) {
   const auto it = object.find(key);
   if (it == object.end() || it->second.kind != obs::JsonValue::Kind::kString) {
     return false;
@@ -255,8 +258,17 @@ bool JsonStr(const obs::JsonObject& object, const std::string& key,
   return true;
 }
 
-bool JsonNum(const obs::JsonObject& object, const std::string& key,
-             double* out) {
+bool JsonStr(const obs::JsonObject& object, std::string_view key,
+             std::string* out) {
+  std::string_view view;
+  if (!JsonStr(object, key, &view)) {
+    return false;
+  }
+  out->assign(view);
+  return true;
+}
+
+bool JsonNum(const obs::JsonObject& object, std::string_view key, double* out) {
   const auto it = object.find(key);
   if (it == object.end() || it->second.kind != obs::JsonValue::Kind::kNumber) {
     return false;
@@ -265,8 +277,7 @@ bool JsonNum(const obs::JsonObject& object, const std::string& key,
   return true;
 }
 
-bool JsonBool(const obs::JsonObject& object, const std::string& key,
-              bool* out) {
+bool JsonBool(const obs::JsonObject& object, std::string_view key, bool* out) {
   const auto it = object.find(key);
   if (it == object.end() || it->second.kind != obs::JsonValue::Kind::kBool) {
     return false;
@@ -275,24 +286,32 @@ bool JsonBool(const obs::JsonObject& object, const std::string& key,
   return true;
 }
 
-// u64 fields (seed, fingerprint) travel as decimal strings in JSON —
-// a JSON number round-trips through double and silently loses precision
-// past 2^53, which would mis-key a release.
-bool JsonU64(const obs::JsonObject& object, const std::string& key,
-             std::uint64_t* out) {
-  const auto it = object.find(key);
-  if (it == object.end()) {
+// A JSON number that is an integer in [0, 2^53), where every integer is
+// exactly a double. A fraction, a negative, or anything larger is
+// malformed, never cast: converting a double of 2^64 or more to u64 is
+// undefined, and one in [2^53, 2^64) may already be a rounded neighbour.
+bool JsonInteger(const obs::JsonObject& object, std::string_view key,
+                 std::uint64_t* out) {
+  double value = 0.0;
+  if (!JsonNum(object, key, &value) || !(value >= 0.0) ||
+      value >= 0x1p53 || value != std::trunc(value)) {
     return false;
   }
-  if (it->second.kind == obs::JsonValue::Kind::kString) {
-    return ParseU64(it->second.string_value, out);
+  *out = static_cast<std::uint64_t>(value);
+  return true;
+}
+
+// u64 fields (seed, fingerprint, domain) travel as decimal strings in
+// JSON — a JSON number round-trips through double and silently loses
+// precision past 2^53, which would mis-key a release. A number is accepted
+// only where it is exact (JsonInteger).
+bool JsonU64(const obs::JsonObject& object, std::string_view key,
+             std::uint64_t* out) {
+  std::string_view text;
+  if (JsonStr(object, key, &text)) {
+    return ParseU64(text, out);
   }
-  if (it->second.kind == obs::JsonValue::Kind::kNumber &&
-      it->second.number_value >= 0) {
-    *out = static_cast<std::uint64_t>(it->second.number_value);
-    return true;
-  }
-  return false;
+  return JsonInteger(object, key, out);
 }
 
 void PutKeyJson(obs::JsonObjectWriter& writer, const serve::ReleaseKey& key) {
@@ -665,7 +684,7 @@ Result<WireMessage> DecodeJson(std::string_view text) {
     return parsed.status();
   }
   const obs::JsonObject& object = parsed.value();
-  std::string type;
+  std::string_view type;
   if (!JsonStr(object, "type", &type)) {
     return BodyError("json message missing \"type\"");
   }
@@ -673,7 +692,7 @@ Result<WireMessage> DecodeJson(std::string_view text) {
   if (type == "query_request") {
     message.type = WireType::kQueryRequest;
     WireQueryRequest& request = message.query_request;
-    std::string queries;
+    std::string_view queries;
     if (!JsonStr(object, "tenant", &request.tenant) ||
         !JsonStr(object, "dataset", &request.dataset) ||
         !JsonStr(object, "publisher", &request.request.publisher) ||
@@ -688,7 +707,7 @@ Result<WireMessage> DecodeJson(std::string_view text) {
   if (type == "batch_answer") {
     message.type = WireType::kBatchAnswer;
     WireBatchAnswer& answer = message.batch_answer;
-    std::string answers;
+    std::string_view answers;
     if (!JsonBool(object, "stale", &answer.stale) ||
         !JsonBool(object, "cache_hit", &answer.cache_hit) ||
         !GetKeyJson(object, &answer.served) ||
@@ -701,7 +720,7 @@ Result<WireMessage> DecodeJson(std::string_view text) {
   if (type == "histogram") {
     message.type = WireType::kHistogram;
     WireHistogram& histogram = message.histogram;
-    std::string counts;
+    std::string_view counts;
     if (!GetKeyJson(object, &histogram.key) ||
         !JsonStr(object, "counts", &counts) ||
         !SplitDoubles(counts, &histogram.counts)) {
@@ -712,8 +731,8 @@ Result<WireMessage> DecodeJson(std::string_view text) {
   if (type == "sparse_histogram") {
     message.type = WireType::kSparseHistogram;
     WireSparseHistogram& histogram = message.sparse_histogram;
-    std::string keys;
-    std::string counts;
+    std::string_view keys;
+    std::string_view counts;
     if (!GetKeyJson(object, &histogram.key) ||
         !JsonU64(object, "domain", &histogram.domain_size) ||
         !JsonStr(object, "keys", &keys) ||
@@ -728,15 +747,19 @@ Result<WireMessage> DecodeJson(std::string_view text) {
   }
   if (type == "error") {
     message.type = WireType::kError;
-    double code = 0.0;
-    if (!JsonNum(object, "code", &code) ||
+    std::uint64_t code = 0;
+    if (!JsonInteger(object, "code", &code) ||
         !JsonStr(object, "message", &message.error.message)) {
       return BodyError("malformed json error");
     }
-    message.error.code = CodeFromInt(static_cast<std::uint32_t>(code));
+    // Codes past u32 are unknown codes, as CodeFromInt maps any it lacks.
+    message.error.code = CodeFromInt(static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(code,
+                                std::numeric_limits<std::uint32_t>::max())));
     return message;
   }
-  return BodyError("unknown json message type \"" + type + "\"");
+  return BodyError("unknown json message type \"" + std::string(type) +
+                   "\"");
 }
 
 }  // namespace net

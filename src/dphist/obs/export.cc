@@ -130,66 +130,74 @@ Result<std::string> ParseString(std::string_view line, std::size_t& pos) {
   }
   ++pos;
   std::string out;
-  while (pos < line.size() && line[pos] != '"') {
-    char c = line[pos];
-    if (c == '\\') {
-      if (pos + 1 >= line.size()) {
-        return ParseError("dangling escape", pos);
-      }
-      ++pos;
-      switch (line[pos]) {
-        case '"':
-          c = '"';
-          break;
-        case '\\':
-          c = '\\';
-          break;
-        case '/':
-          c = '/';
-          break;
-        case 'n':
-          c = '\n';
-          break;
-        case 't':
-          c = '\t';
-          break;
-        case 'r':
-          c = '\r';
-          break;
-        case 'u': {
-          if (pos + 4 >= line.size()) {
-            return ParseError("truncated \\u escape", pos);
-          }
-          unsigned code = 0;
-          for (int i = 1; i <= 4; ++i) {
-            const char h = line[pos + i];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return ParseError("bad \\u digit", pos + i);
-            }
-          }
-          pos += 4;
-          if (code > 0x7f) {
-            return ParseError("non-ASCII \\u escape unsupported", pos);
-          }
-          c = static_cast<char>(code);
-          break;
+  for (;;) {
+    // The plain run up to the next quote or escape, in one append.
+    std::size_t stop = pos;
+    while (stop < line.size() && line[stop] != '"' && line[stop] != '\\') {
+      ++stop;
+    }
+    out.append(line, pos, stop - pos);
+    pos = stop;
+    if (pos >= line.size()) {
+      return ParseError("unterminated string", pos);
+    }
+    if (line[pos] == '"') {
+      break;
+    }
+    if (pos + 1 >= line.size()) {
+      return ParseError("dangling escape", pos);
+    }
+    ++pos;
+    char c = '\0';
+    switch (line[pos]) {
+      case '"':
+        c = '"';
+        break;
+      case '\\':
+        c = '\\';
+        break;
+      case '/':
+        c = '/';
+        break;
+      case 'n':
+        c = '\n';
+        break;
+      case 't':
+        c = '\t';
+        break;
+      case 'r':
+        c = '\r';
+        break;
+      case 'u': {
+        if (pos + 4 >= line.size()) {
+          return ParseError("truncated \\u escape", pos);
         }
-        default:
-          return ParseError("unknown escape", pos);
+        unsigned code = 0;
+        for (int i = 1; i <= 4; ++i) {
+          const char h = line[pos + i];
+          code <<= 4;
+          if (h >= '0' && h <= '9') {
+            code |= static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            code |= static_cast<unsigned>(h - 'A' + 10);
+          } else {
+            return ParseError("bad \\u digit", pos + i);
+          }
+        }
+        pos += 4;
+        if (code > 0x7f) {
+          return ParseError("non-ASCII \\u escape unsupported", pos);
+        }
+        c = static_cast<char>(code);
+        break;
       }
+      default:
+        return ParseError("unknown escape", pos);
     }
     out += c;
     ++pos;
-  }
-  if (pos >= line.size()) {
-    return ParseError("unterminated string", pos);
   }
   ++pos;  // closing quote
   return out;

@@ -2,6 +2,7 @@
 #define DPHIST_OBS_EXPORT_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -53,8 +54,9 @@ struct JsonValue {
   bool bool_value = false;    ///< set when kind == kBool
 };
 
-/// Parsed flat JSON object: key -> value, in key-sorted order.
-using JsonObject = std::map<std::string, JsonValue>;
+/// Parsed flat JSON object: key -> value, in key-sorted order, looked up
+/// by any string-like key.
+using JsonObject = std::map<std::string, JsonValue, std::less<>>;
 
 /// \brief Parses one flat JSON object line (as produced by
 /// JsonObjectWriter): string / number / true / false / null values only —

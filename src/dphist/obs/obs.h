@@ -222,6 +222,36 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// \brief RAII wall-time span recorded into a distribution the caller
+/// resolved once, for a span on a per-request path: no path join and no
+/// registry lookup, where `ScopedTimer` does both on every span. It neither
+/// nests under nor parents `ScopedTimer`s. Inactive (one branch, no clock
+/// read) when obs is disabled at construction.
+class DistributionTimer {
+ public:
+  explicit DistributionTimer(Distribution& distribution)
+      : distribution_(Enabled() ? &distribution : nullptr) {
+    if (distribution_ != nullptr) {
+      start_ = std::chrono::steady_clock::now();
+    }
+  }
+
+  ~DistributionTimer() {
+    if (distribution_ != nullptr) {
+      distribution_->Record(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start_)
+                                .count());
+    }
+  }
+
+  DistributionTimer(const DistributionTimer&) = delete;
+  DistributionTimer& operator=(const DistributionTimer&) = delete;
+
+ private:
+  Distribution* distribution_;  // null when inactive
+  std::chrono::steady_clock::time_point start_;
+};
+
 /// \brief Adds mechanism-level noise draws into per-publisher counters for
 /// the duration of a scope, on top of the global `rng/laplace_draws` /
 /// `rng/geometric_draws` counters. Installed by the registry's publisher

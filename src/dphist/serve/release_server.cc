@@ -36,6 +36,15 @@ obs::Counter& StaleBatchCounter() {
   return counter;
 }
 
+// The fast lane's `serve/batch` timer, resolved once: AnswerBatch's
+// ScopedTimer of the same name nests its publish spans under it, which the
+// fast lane never runs.
+obs::Distribution& BatchDistribution() {
+  static obs::Distribution& distribution =
+      obs::Registry::Global().GetDistribution("serve/batch");
+  return distribution;
+}
+
 obs::Counter& RetryCounter() {
   static obs::Counter& counter =
       obs::Registry::Global().GetCounter("serve/retries");
@@ -399,7 +408,7 @@ Result<bool> ReleaseServer::TryAnswerCached(
   } else {
     DPHIST_RETURN_IF_ERROR(ValidateQueries(queries, dataset->truth.size()));
   }
-  obs::ScopedTimer batch_timer("serve/batch");
+  obs::DistributionTimer batch_timer(BatchDistribution());
   BatchCounter().Increment();
   BatchQueryCounter().Add(queries.size());
   DPHIST_FAILPOINT("serve/answer_batch");

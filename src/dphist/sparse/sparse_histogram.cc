@@ -1,34 +1,43 @@
 #include "dphist/sparse/sparse_histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <limits>
+#include <numeric>
 #include <string>
 
 #include "dphist/common/math_util.h"
 
 namespace dphist {
 namespace sparse {
-namespace {
-
-// Index of the first entry with key >= `key` (lower bound over the sorted
-// entry list).
-std::size_t LowerBound(const std::vector<SparseEntry>& entries,
-                       std::uint64_t key) {
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const SparseEntry& entry, std::uint64_t k) { return entry.key < k; });
-  return static_cast<std::size_t>(it - entries.begin());
-}
-
-}  // namespace
 
 SparseHistogram::SparseHistogram(std::uint64_t domain_size,
                                  std::vector<SparseEntry> entries)
     : domain_size_(domain_size), entries_(std::move(entries)) {
   std::vector<double> counts;
   counts.reserve(entries_.size());
-  for (const SparseEntry& entry : entries_) counts.push_back(entry.count);
+  keys_.reserve(entries_.size() + 1);
+  for (const SparseEntry& entry : entries_) {
+    keys_.push_back(entry.key);
+    counts.push_back(entry.count);
+  }
+  keys_.push_back(std::numeric_limits<std::uint64_t>::max());
   prefix_ = PrefixSums(counts);
+
+  // 2^bit_width(k) buckets, between one and two per stored key, over the
+  // top bits of the largest key the domain holds. The endpoint
+  // `domain_size_` itself lands at most one bucket past those, so the
+  // table has at most 2k + 3 entries.
+  const int index_bits = std::bit_width(entries_.size());
+  const int key_bits = domain_size_ == 0 ? 0 : std::bit_width(domain_size_ - 1);
+  shift_ = static_cast<unsigned>(std::max(key_bits - index_bits, 0));
+  bucket_start_.assign((domain_size_ >> shift_) + 2, 0);
+  for (const SparseEntry& entry : entries_) {
+    ++bucket_start_[(entry.key >> shift_) + 1];
+  }
+  std::partial_sum(bucket_start_.begin(), bucket_start_.end(),
+                   bucket_start_.begin());
 }
 
 Result<SparseHistogram> SparseHistogram::Create(
@@ -40,6 +49,11 @@ Result<SparseHistogram> SparseHistogram::Create(
     return Status::InvalidArgument(
         "sparse histogram: domain size " + std::to_string(domain_size) +
         " exceeds the 2^63 maximum");
+  }
+  if (entries.size() > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "sparse histogram: " + std::to_string(entries.size()) +
+        " entries exceed the 2^32 - 1 maximum");
   }
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (entries[i].key >= domain_size) {
@@ -72,12 +86,12 @@ Result<SparseHistogram> SparseHistogram::FromRecords(
 }
 
 double SparseHistogram::CountFor(std::uint64_t key) const {
-  const std::size_t i = LowerBound(entries_, key);
-  if (i < entries_.size() && entries_[i].key == key) return entries_[i].count;
-  return 0.0;
+  if (key >= domain_size_) return 0.0;
+  const std::size_t i = LowerBound(key);
+  return keys_[i] == key ? entries_[i].count : 0.0;
 }
 
-double SparseHistogram::Total() const { return prefix_.empty() ? 0.0 : prefix_.back(); }
+double SparseHistogram::Total() const { return prefix_.back(); }
 
 Result<double> SparseHistogram::RangeSum(std::uint64_t begin,
                                          std::uint64_t end) const {
@@ -88,13 +102,6 @@ Result<double> SparseHistogram::RangeSum(std::uint64_t begin,
         std::to_string(domain_size_));
   }
   return RangeSumUnchecked(begin, end);
-}
-
-double SparseHistogram::RangeSumUnchecked(std::uint64_t begin,
-                                          std::uint64_t end) const {
-  const std::size_t lo = LowerBound(entries_, begin);
-  const std::size_t hi = LowerBound(entries_, end);
-  return prefix_[hi] - prefix_[lo];
 }
 
 std::uint64_t FingerprintSparseHistogram(const SparseHistogram& histogram) {

@@ -9,8 +9,9 @@
 /// high-cardinality domains (URLs, user IDs). `SparseHistogram` stores only
 /// the keys with an explicit count; every other key implicitly holds 0.
 /// Range sums share the half-open `[begin, end)` semantics of the dense
-/// `Histogram::RangeSum`, answered in O(log k) by binary search over a
-/// Kahan-compensated prefix-sum table of the stored entries.
+/// `Histogram::RangeSum`: the difference of two entries of a
+/// Kahan-compensated prefix-sum table, each found by a radix bucket index
+/// on the key's top bits and a search inside one bucket (DESIGN §12).
 
 #include <cstddef>
 #include <cstdint>
@@ -43,14 +44,16 @@ struct SparseEntry {
 class SparseHistogram {
  public:
   /// An empty histogram over a zero-sized domain. Invalid for publishing;
-  /// exists so the type is default-constructible for containers.
-  SparseHistogram() = default;
+  /// exists so the type is default-constructible for containers. Its one
+  /// valid range, `[0, 0)`, sums to 0.
+  SparseHistogram() : SparseHistogram(0, {}) {}
 
   /// Validates and adopts `entries` over a domain of `domain_size` keys
   /// `[0, domain_size)`. Entries must be strictly increasing by key (sorted,
   /// no duplicates) and every key must be `< domain_size`. Returns a typed
   /// `kInvalidArgument` otherwise, or when `domain_size` is 0 or exceeds
-  /// 2^63.
+  /// 2^63, or when there are 2^32 entries or more (the wire format's entry
+  /// count is a u32, and such a histogram would need over 64 GiB).
   static Result<SparseHistogram> Create(std::uint64_t domain_size,
                                         std::vector<SparseEntry> entries);
 
@@ -81,8 +84,12 @@ class SparseHistogram {
   Result<double> RangeSum(std::uint64_t begin, std::uint64_t end) const;
 
   /// `RangeSum` without bounds checking; caller guarantees
-  /// `begin <= end <= domain_size()`.
-  double RangeSumUnchecked(std::uint64_t begin, std::uint64_t end) const;
+  /// `begin <= end <= domain_size()`. Each endpoint costs one index read
+  /// and a search inside one bucket, O(1) for keys spread over the domain
+  /// and O(log k) at worst, when every key shares a bucket.
+  double RangeSumUnchecked(std::uint64_t begin, std::uint64_t end) const {
+    return prefix_[LowerBound(end)] - prefix_[LowerBound(begin)];
+  }
 
   friend bool operator==(const SparseHistogram& a, const SparseHistogram& b) {
     return a.domain_size_ == b.domain_size_ && a.entries_ == b.entries_;
@@ -91,10 +98,35 @@ class SparseHistogram {
  private:
   SparseHistogram(std::uint64_t domain_size, std::vector<SparseEntry> entries);
 
+  // Index of the first stored key >= `key`, for `key <= domain_size()`.
+  // Every key of an earlier bucket is smaller than `key` and every key of a
+  // later one larger, so the answer lies among `key`'s bucket and the key
+  // after it (the next bucket's first, or the sentinel). A binary search
+  // over those whose step is a select, not a branch, finds it.
+  std::size_t LowerBound(std::uint64_t key) const {
+    const std::uint64_t bucket = key >> shift_;
+    const std::uint64_t* base = keys_.data() + bucket_start_[bucket];
+    std::size_t n = bucket_start_[bucket + 1] - bucket_start_[bucket] + 1;
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base = base[half] < key ? base + half : base;
+      n -= half;
+    }
+    return static_cast<std::size_t>(base - keys_.data()) + (*base < key);
+  }
+
   std::uint64_t domain_size_ = 0;
   std::vector<SparseEntry> entries_;
+  // keys_[i] = entries_[i].key, packed for the search, then a sentinel
+  // larger than any endpoint: size k + 1.
+  std::vector<std::uint64_t> keys_;
   // prefix_[i] = Kahan-compensated sum of entries_[0..i), size k + 1.
   std::vector<double> prefix_;
+  // The radix bucket index: bucket b holds the keys with key >> shift_ == b,
+  // starting at keys_[bucket_start_[b]]. It has a bucket for every
+  // endpoint in [0, domain_size_], plus a closing entry equal to k.
+  std::vector<std::uint32_t> bucket_start_;
+  unsigned shift_ = 0;
 };
 
 /// 64-bit FNV-1a fingerprint over the domain size, keys, and count bit

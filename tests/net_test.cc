@@ -201,6 +201,29 @@ TEST(NetTest, ErrorsAreTyped) {
   EXPECT_EQ(nf.value().status, 404);
 }
 
+TEST(NetTest, JsonSeedPastExactIntegersIsBadRequest) {
+  // A JSON number that no u64 can hold is a typed 400, never a cast, and
+  // the connection keeps serving.
+  TestStack stack(2);
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+  std::string body = EncodeQueryRequestJson(TestQuery());
+  const std::string seed = "\"seed\":\"42\"";
+  ASSERT_NE(body.find(seed), std::string::npos) << body;
+  body.replace(body.find(seed), seed.size(), "\"seed\":1e30");
+  HttpMessage request;
+  request.method = "POST";
+  request.target = "/v1/query";
+  request.headers["content-type"] = kContentTypeJson;
+  request.body = body;
+  auto response = client.RoundTrip(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status, 400);
+  EXPECT_EQ(response.value().Header("x-dphist-status"), "ParseError");
+  auto answer = client.Query(TestQuery(), /*binary=*/false);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+}
+
 TEST(NetTest, BudgetExhaustionDegradesToStaleOverTheWire) {
   // Budget for exactly one publication: the second (different seed) is
   // refused by the ledger and AnswerBatch degrades to the cached release

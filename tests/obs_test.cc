@@ -194,6 +194,29 @@ TEST_F(ObsTest, ScopedTimerNestsIntoSlashPaths) {
   EXPECT_TRUE(found_child);
 }
 
+TEST_F(ObsTest, DistributionTimerRecordsIntoItsDistributionOnly) {
+  Distribution& dist =
+      Registry::Global().GetDistribution("test/distribution_timer");
+  {
+    // Inside a ScopedTimer it still records under its own name: it takes
+    // no part in span nesting.
+    ScopedTimer outer("test/distribution_timer_outer");
+    DistributionTimer timer(dist);
+    ScopedTimer inner("child");
+    EXPECT_EQ(inner.path(), "test/distribution_timer_outer/child");
+  }
+  DistributionSnapshot s = dist.Snapshot();
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_GE(s.min, 0.0);
+
+  Registry::Global().set_enabled(false);
+  {
+    DistributionTimer timer(dist);
+  }
+  Registry::Global().set_enabled(true);
+  EXPECT_EQ(dist.Snapshot().count, 1u);
+}
+
 TEST_F(ObsTest, SnapshotIsStableAndNameSorted) {
   Registry::Global().GetCounter("test/stable_b").Add(2);
   Registry::Global().GetCounter("test/stable_a").Add(1);

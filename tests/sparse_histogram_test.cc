@@ -1,17 +1,24 @@
 // SparseHistogram core invariants: construction validation, exact range
-// sums against a naive loop, aggregation from raw records, fingerprint
-// sensitivity, and the CSV round-trip with its typed parse failures.
+// sums against a naive loop and, bit for bit, against a std::lower_bound
+// search over the keys (the bucket index must not change one answer),
+// aggregation from raw records, fingerprint sensitivity, and the CSV
+// round-trip with its typed parse failures.
 
 #include "dphist/sparse/sparse_histogram.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dphist/common/math_util.h"
 #include "dphist/common/status.h"
 #include "dphist/sparse/sparse_csv.h"
 
@@ -125,6 +132,146 @@ TEST(SparseHistogramTest, RangeSumRejectsInvalidBounds) {
   auto past_domain = histogram.value().RangeSum(0, 11);
   ASSERT_FALSE(past_domain.ok());
   EXPECT_EQ(past_domain.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SparseHistogramTest, DefaultConstructedIsAValidEmptyHistogram) {
+  const SparseHistogram histogram;
+  EXPECT_EQ(histogram.domain_size(), 0u);
+  EXPECT_EQ(histogram.stored_keys(), 0u);
+  EXPECT_EQ(histogram.Total(), 0.0);
+  EXPECT_EQ(histogram.CountFor(0), 0.0);
+  auto empty = histogram.RangeSum(0, 0);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty.value(), 0.0);
+  EXPECT_EQ(histogram.RangeSumUnchecked(0, 0), 0.0);
+  EXPECT_FALSE(histogram.RangeSum(0, 1).ok());
+}
+
+// RangeSumUnchecked as it was before the bucket index: two std::lower_bound
+// searches over the sorted keys into the same Kahan prefix sums.
+class LowerBoundReference {
+ public:
+  explicit LowerBoundReference(const std::vector<SparseEntry>& entries) {
+    std::vector<double> counts;
+    for (const SparseEntry& entry : entries) {
+      keys_.push_back(entry.key);
+      counts.push_back(entry.count);
+    }
+    prefix_ = PrefixSums(counts);
+  }
+
+  double RangeSum(std::uint64_t begin, std::uint64_t end) const {
+    return prefix_[Lower(end)] - prefix_[Lower(begin)];
+  }
+
+ private:
+  std::size_t Lower(std::uint64_t key) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+  }
+
+  std::vector<std::uint64_t> keys_;
+  std::vector<double> prefix_;
+};
+
+void ExpectBitIdentical(double actual, double expected, std::uint64_t begin,
+                        std::uint64_t end) {
+  EXPECT_EQ(std::memcmp(&actual, &expected, sizeof(double)), 0)
+      << "[" << begin << ", " << end << "): " << actual << " vs "
+      << expected;
+}
+
+// Every endpoint that can sit on a bucket or key boundary — 0, the domain,
+// each key and each key +- 1 — paired with 0, with the domain, and with
+// its neighbours in the sorted endpoint list, plus seeded random pairs.
+void ExpectMatchesLowerBoundReference(std::uint64_t domain,
+                                      const std::vector<SparseEntry>& entries) {
+  auto created = SparseHistogram::Create(domain, entries);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  const SparseHistogram& histogram = created.value();
+  const LowerBoundReference reference(entries);
+  std::vector<std::uint64_t> endpoints = {0, domain};
+  for (const SparseEntry& entry : entries) {
+    endpoints.push_back(entry.key);
+    endpoints.push_back(entry.key + 1);
+    if (entry.key > 0) {
+      endpoints.push_back(entry.key - 1);
+    }
+    EXPECT_EQ(histogram.CountFor(entry.key), entry.count);
+  }
+  std::sort(endpoints.begin(), endpoints.end());
+  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
+                  endpoints.end());
+  const auto check = [&](std::uint64_t a, std::uint64_t b) {
+    const std::uint64_t begin = std::min(a, b);
+    const std::uint64_t end = std::max(a, b);
+    ExpectBitIdentical(histogram.RangeSumUnchecked(begin, end),
+                       reference.RangeSum(begin, end), begin, end);
+  };
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    check(0, endpoints[i]);
+    check(endpoints[i], domain);
+    if (i + 1 < endpoints.size()) {
+      check(endpoints[i], endpoints[i + 1]);
+    }
+  }
+  std::mt19937_64 rng(domain ^ entries.size());
+  for (int trial = 0; trial < 2000; ++trial) {
+    check(endpoints[rng() % endpoints.size()],
+          endpoints[rng() % endpoints.size()]);
+  }
+}
+
+// `count` distinct sorted keys drawn from [low, low + span), with counts
+// whose prefix sums round (no two alike, some negative, some tiny).
+std::vector<SparseEntry> RandomEntries(std::size_t count, std::uint64_t low,
+                                       std::uint64_t span, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::set<std::uint64_t> keys;
+  while (keys.size() < count) {
+    keys.insert(low + rng() % span);
+  }
+  std::vector<SparseEntry> entries;
+  for (const std::uint64_t key : keys) {
+    const double count_value =
+        static_cast<double>(static_cast<std::int64_t>(rng() % 2001) - 1000) /
+        7.0;
+    entries.push_back(SparseEntry{key, count_value});
+  }
+  return entries;
+}
+
+TEST(SparseHistogramTest, RangeSumsMatchLowerBoundReferenceBitwise) {
+  const std::uint64_t kTop = 1ULL << 63;
+  // Domain 1: empty, and its one key.
+  ExpectMatchesLowerBoundReference(1, {});
+  ExpectMatchesLowerBoundReference(1, {{0, 2.5}});
+  for (const std::uint64_t domain : {std::uint64_t{1} << 40, kTop}) {
+    ExpectMatchesLowerBoundReference(domain, {});
+    ExpectMatchesLowerBoundReference(domain, {{domain - 1, -1.25}});
+    ExpectMatchesLowerBoundReference(domain, {{0, 3.0}});
+    ExpectMatchesLowerBoundReference(domain,
+                                     RandomEntries(1025, 0, domain, domain));
+    // The edges of the key space: the first and last keys of the domain.
+    std::vector<SparseEntry> edges = RandomEntries(1021, 2, domain - 4, 7);
+    edges.insert(edges.begin(), {{0, 1.0}, {1, 0.1}});
+    edges.push_back({domain - 2, 0.2});
+    edges.push_back({domain - 1, 0.3});
+    ExpectMatchesLowerBoundReference(domain, edges);
+  }
+}
+
+TEST(SparseHistogramTest, ClusteredKeysMatchLowerBoundReferenceBitwise) {
+  // Keys packed into one bucket's span (and into a dense run) degrade the
+  // index to one search over every key; answers must not change.
+  const std::uint64_t domain = 1ULL << 40;
+  ExpectMatchesLowerBoundReference(
+      domain, RandomEntries(1025, 1ULL << 39, 1ULL << 20, 3));
+  ExpectMatchesLowerBoundReference(domain, RandomEntries(1025, 12345, 1025, 4));
+  ExpectMatchesLowerBoundReference(1ULL << 63,
+                                   RandomEntries(1025, 0, 1ULL << 30, 5));
+  // A small domain, where every key has a bucket of its own.
+  ExpectMatchesLowerBoundReference(2000, RandomEntries(1025, 0, 2000, 6));
 }
 
 TEST(SparseHistogramTest, FromRecordsAggregatesMultiset) {

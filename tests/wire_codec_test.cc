@@ -3,13 +3,18 @@
 // frame that was truncated or bit-flipped is a typed rejection, never a
 // garbled message (mirroring journal_test's torn-tail battery). Golden
 // bytes checked into tests/testdata pin the format across hosts — a
-// big-endian machine must produce byte-identical frames.
+// big-endian machine must produce byte-identical frames — and pin the JSON
+// bodies byte for byte. The CRC-32 every frame carries is checked against
+// its portable and bitwise forms at every length and alignment.
 
 #include "dphist/net/wire_codec.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <span>
 #include <sstream>
 #include <string>
@@ -18,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "dphist/common/binary_io.h"
+#include "dphist/obs/export.h"
 
 namespace dphist {
 namespace net {
@@ -55,6 +61,76 @@ WireHistogram SampleHistogram(std::size_t bins) {
     histogram.counts.push_back(static_cast<double>(i % 97) - 11.5);
   }
   return histogram;
+}
+
+// A release key whose strings hold every JSON escape class: a quote, a
+// backslash, a control byte with a short escape and one without, and a
+// non-ASCII UTF-8 pair.
+serve::ReleaseKey GoldenKey() {
+  return serve::ReleaseKey{"ten\"ant\\", "data\nset\x01",
+                           0xFEDCBA9876543210ull, "pub\xc3\xa9lisher\t", 0.1,
+                           18446744073709551615ull};
+}
+
+// Values covering every formatting case: signed zeros, integers up to
+// 2^53 (its literal rounds to it), inexact fractions, extremes, two
+// subnormals, and the non-finite values JSON writes as null.
+std::vector<double> GoldenValues() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {
+      0.0,
+      -0.0,
+      1.0,
+      -7.0,
+      42.0,
+      1e15,
+      9007199254740993.0,
+      0.1 + 0.2,
+      -3.25,
+      1e300,
+      -1e-300,
+      std::numeric_limits<double>::denorm_min(),
+      2.2250738585072014e-308 / 3,
+      std::numeric_limits<double>::quiet_NaN(),
+      inf,
+      -inf,
+      123456.789,
+  };
+}
+
+WireBatchAnswer GoldenBatchAnswer() {
+  WireBatchAnswer answer;
+  answer.stale = true;
+  answer.cache_hit = false;
+  answer.served = GoldenKey();
+  answer.answers = GoldenValues();
+  return answer;
+}
+
+WireHistogram GoldenHistogram() {
+  WireHistogram histogram;
+  histogram.key = GoldenKey();
+  histogram.counts = GoldenValues();
+  return histogram;
+}
+
+WireSparseHistogram GoldenSparseHistogram() {
+  WireSparseHistogram histogram;
+  histogram.key = GoldenKey();
+  histogram.domain_size = 1ull << 63;
+  histogram.keys = {0, 1, 4096, (1ull << 53) + 1, (1ull << 63) - 1};
+  const std::vector<double> values = GoldenValues();
+  histogram.counts.assign(values.begin(), values.begin() + 5);
+  return histogram;
+}
+
+std::string ReadTestData(const std::string& name) {
+  const std::string path = std::string(DPHIST_TESTDATA_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "missing golden file " << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
 }
 
 // The acceptance sizes: empty, single, odd, and a million entries.
@@ -313,6 +389,254 @@ TEST(WireCodecTest, MalformedJsonIsTyped) {
   bad.replace(at, std::string("\"queries\":\"").size(),
               "\"queries\":\"zap");
   EXPECT_FALSE(DecodeJson(bad).ok());
+}
+
+TEST(WireCodecTest, JsonGoldenFilesMatchByteForByte) {
+  // The checked-in bodies pin the JSON encoders byte for byte, as the
+  // binary goldens pin the frames: a faster writer must reproduce them.
+  const std::string answer = ReadTestData("wire_batch_answer_v1.json");
+  ASSERT_FALSE(answer.empty());
+  EXPECT_EQ(EncodeBatchAnswerJson(GoldenBatchAnswer()), answer);
+  EXPECT_EQ(EncodeHistogramJson(GoldenHistogram()),
+            ReadTestData("wire_histogram_v1.json"));
+  EXPECT_EQ(EncodeSparseHistogramJson(GoldenSparseHistogram()),
+            ReadTestData("wire_sparse_histogram_v1.json"));
+}
+
+TEST(WireCodecTest, JsonKeysWithEscapesRoundTrip) {
+  // The golden key's escapes survive a decode; finite answers round-trip.
+  WireBatchAnswer answer = GoldenBatchAnswer();
+  answer.answers.resize(13);  // drop the non-finite tail, written as null
+  auto decoded = DecodeJson(EncodeBatchAnswerJson(answer));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().batch_answer.served, answer.served);
+  ASSERT_EQ(decoded.value().batch_answer.answers.size(), 13u);
+  for (std::size_t i = 0; i < 13; ++i) {
+    EXPECT_EQ(std::signbit(decoded.value().batch_answer.answers[i]),
+              std::signbit(answer.answers[i]));
+    EXPECT_EQ(decoded.value().batch_answer.answers[i], answer.answers[i]);
+  }
+}
+
+TEST(WireCodecTest, Crc32MatchesPortableAtEveryLengthAndOffset) {
+  // Every length from 0 to 4096 at every start offset 0-15, so each fold
+  // boundary (16-byte blocks, 64-byte lanes, the 64-byte minimum) meets
+  // every alignment; the short lengths also against a bitwise CRC.
+  std::string buffer(4096 + 16, '\0');
+  std::mt19937_64 rng(20120412);
+  for (char& c : buffer) {
+    c = static_cast<char>(rng());
+  }
+  const auto bitwise = [](std::string_view bytes) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (const char c : bytes) {
+      crc ^= static_cast<unsigned char>(c);
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 4096; ++length) {
+      const std::string_view bytes(buffer.data() + offset, length);
+      const std::uint32_t portable = binio::Crc32Portable(bytes);
+      ASSERT_EQ(binio::Crc32(bytes), portable)
+          << "length " << length << " offset " << offset;
+      if (length <= 256) {
+        ASSERT_EQ(portable, bitwise(bytes))
+            << "length " << length << " offset " << offset;
+      }
+    }
+  }
+}
+
+TEST(WireCodecTest, Crc32KnownVectors) {
+  EXPECT_EQ(binio::Crc32(""), 0x00000000u);
+  EXPECT_EQ(binio::Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(binio::Crc32("The quick brown fox jumps over the lazy dog"),
+            0x414FA339u);
+  // 64 bytes and up take the fold where the CPU has one.
+  EXPECT_EQ(binio::Crc32(std::string(64, '\0')), 0x758D6336u);
+  EXPECT_EQ(binio::Crc32(std::string(1000, 'a')),
+            binio::Crc32Portable(std::string(1000, 'a')));
+}
+
+// A JSON query request with `field` replaced by `value` (a raw JSON token).
+std::string QueryRequestJsonWith(std::string_view field,
+                                 std::string_view value) {
+  std::string json = EncodeQueryRequestJson(SampleQueryRequest(2));
+  const std::string key = "\"" + std::string(field) + "\":";
+  const std::size_t at = json.find(key);
+  EXPECT_NE(at, std::string::npos);
+  const std::size_t start = at + key.size();
+  const std::size_t end = json.find_first_of(",}", json.find('"', start + 1));
+  json.replace(start, end - start, value);
+  return json;
+}
+
+TEST(WireCodecTest, JsonU64AcceptsOnlyExactIntegers) {
+  // A u64 field sent as a JSON number is read only when the double is an
+  // exact integer below 2^53; otherwise it is malformed, never cast.
+  const std::string rejected[] = {"1e30", "1.5", "9007199254740992", "-1",
+                                  "1e300", "18446744073709551616"};
+  for (const std::string& value : rejected) {
+    auto decoded = DecodeJson(QueryRequestJsonWith("seed", value));
+    ASSERT_FALSE(decoded.ok()) << value;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << value;
+  }
+  auto seven = DecodeJson(QueryRequestJsonWith("seed", "7"));
+  ASSERT_TRUE(seven.ok()) << seven.status().ToString();
+  EXPECT_EQ(seven.value().query_request.request.seed, 7u);
+  auto largest = DecodeJson(QueryRequestJsonWith("seed", "9007199254740991"));
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest.value().query_request.request.seed, (1ull << 53) - 1);
+
+  // The same rule for the key's fingerprint and the sparse domain.
+  std::string answer = EncodeBatchAnswerJson(SampleBatchAnswer(1));
+  const std::string fingerprint = "\"fingerprint\":\"81985529216486895\"";
+  ASSERT_NE(answer.find(fingerprint), std::string::npos);
+  answer.replace(answer.find(fingerprint), fingerprint.size(),
+                 "\"fingerprint\":1e30");
+  EXPECT_EQ(DecodeJson(answer).status().code(), StatusCode::kParseError);
+  std::string sparse = EncodeSparseHistogramJson(GoldenSparseHistogram());
+  const std::string domain = "\"domain\":\"9223372036854775808\"";
+  ASSERT_NE(sparse.find(domain), std::string::npos);
+  sparse.replace(sparse.find(domain), domain.size(), "\"domain\":1.5");
+  EXPECT_EQ(DecodeJson(sparse).status().code(), StatusCode::kParseError);
+
+  // An error code out of any range is malformed too, not cast.
+  EXPECT_FALSE(DecodeJson("{\"type\":\"error\",\"code\":1e30,"
+                          "\"message\":\"m\"}")
+                   .ok());
+  EXPECT_FALSE(
+      DecodeJson("{\"type\":\"error\",\"code\":-1,\"message\":\"m\"}").ok());
+}
+
+TEST(WireCodecTest, JsonStringEscapesAtRunBoundaries) {
+  // ParseFlatJson copies plain runs whole: escapes first, last, adjacent,
+  // alone, and \u00XX must split the runs exactly.
+  const struct {
+    const char* json;
+    const char* value;
+  } cases[] = {
+      {R"({"a":"\"abc"})", "\"abc"},
+      {R"({"a":"abc\""})", "abc\""},
+      {R"({"a":"\\\n"})", "\\\n"},
+      {R"({"a":"ab\t\rcd"})", "ab\t\rcd"},
+      {R"({"a":"\u0041bc"})", "Abc"},
+      {R"({"a":"ab\u007a"})", "abz"},
+      {R"({"a":"\u0001\u001f"})", "\x01\x1f"},
+      {R"({"a":"\/"})", "/"},
+      {R"({"a":""})", ""},
+      {R"({"a":"plain"})", "plain"},
+  };
+  for (const auto& c : cases) {
+    auto parsed = obs::ParseFlatJson(c.json);
+    ASSERT_TRUE(parsed.ok()) << c.json << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed.value().at("a").string_value, c.value) << c.json;
+  }
+  // A dangling backslash, a cut \u escape, and an unterminated run.
+  for (const char* json :
+       {R"({"a":"abc\)", R"({"a":"\)", R"({"a":"ab\u00)", R"({"a":"abc)",
+        R"({"a":"\u00zz"})", R"({"a":"\q"})"}) {
+    EXPECT_FALSE(obs::ParseFlatJson(json).ok()) << json;
+  }
+  // Whatever the writer escapes, the parser restores, run by run.
+  for (const std::string& raw :
+       {std::string("\"\\\n\t\r\x01"), std::string("a\"b\\c\nd"),
+        std::string("\x1f\xc3\xa9\x7f"), std::string("")}) {
+    const std::string json = "{\"a\":\"" + obs::JsonEscape(raw) + "\"}";
+    auto parsed = obs::ParseFlatJson(json);
+    ASSERT_TRUE(parsed.ok()) << json;
+    EXPECT_EQ(parsed.value().at("a").string_value, raw) << json;
+  }
+}
+
+// DecodeJson's byte-level property: any input decodes to a typed error or
+// to a message that decodes the same once re-encoded.
+void ExpectTypedOrStable(const std::string& input) {
+  auto decoded = DecodeJson(input);
+  if (!decoded.ok()) {
+    const StatusCode code = decoded.status().code();
+    EXPECT_TRUE(code == StatusCode::kParseError ||
+                code == StatusCode::kInvalidArgument)
+        << "untyped error " << decoded.status().ToString() << " for "
+        << input;
+    return;
+  }
+  const WireMessage& message = decoded.value();
+  std::string again;
+  switch (message.type) {
+    case WireType::kQueryRequest:
+      again = EncodeQueryRequestJson(message.query_request);
+      break;
+    case WireType::kBatchAnswer:
+      again = EncodeBatchAnswerJson(message.batch_answer);
+      break;
+    default:
+      ADD_FAILURE() << "unexpected message type from " << input;
+      return;
+  }
+  auto redecoded = DecodeJson(again);
+  ASSERT_TRUE(redecoded.ok()) << again;
+  ASSERT_EQ(redecoded.value().type, message.type);
+  if (message.type == WireType::kQueryRequest) {
+    EXPECT_TRUE(redecoded.value().query_request == message.query_request)
+        << input;
+    return;
+  }
+  const WireBatchAnswer& first = message.batch_answer;
+  const WireBatchAnswer& second = redecoded.value().batch_answer;
+  EXPECT_EQ(second.stale, first.stale);
+  EXPECT_EQ(second.cache_hit, first.cache_hit);
+  EXPECT_EQ(second.served.tenant, first.served.tenant);
+  EXPECT_EQ(second.served.dataset, first.served.dataset);
+  EXPECT_EQ(second.served.publisher, first.served.publisher);
+  EXPECT_EQ(second.served.dataset_fingerprint,
+            first.served.dataset_fingerprint);
+  EXPECT_EQ(second.served.seed, first.served.seed);
+  EXPECT_EQ(std::memcmp(&second.served.epsilon, &first.served.epsilon,
+                        sizeof(double)),
+            0);
+  ASSERT_EQ(second.answers.size(), first.answers.size()) << input;
+  EXPECT_EQ(std::memcmp(second.answers.data(), first.answers.data(),
+                        first.answers.size() * sizeof(double)),
+            0)
+      << input;
+}
+
+TEST(WireCodecTest, DecodeJsonEveryTruncationAndSubstitutionIsTypedOrStable) {
+  WireQueryRequest request = SampleQueryRequest(5);
+  request.tenant = "a\"b\\c";
+  WireBatchAnswer answer = SampleBatchAnswer(5);
+  answer.served.publisher = "pub\nlisher";
+  const std::string inputs[] = {EncodeQueryRequestJson(request),
+                                EncodeBatchAnswerJson(answer)};
+  const char substitutes[] = {'"', '\\', '7', ',', '\0',
+                              static_cast<char>(0x80)};
+  std::mt19937_64 rng(918273);
+  for (const std::string& input : inputs) {
+    ExpectTypedOrStable(input);
+    for (std::size_t length = 0; length < input.size(); ++length) {
+      ExpectTypedOrStable(input.substr(0, length));
+    }
+    // Every substitute at every position, plus seeded pairs of them.
+    for (std::size_t at = 0; at < input.size(); ++at) {
+      for (const char substitute : substitutes) {
+        std::string mutated = input;
+        mutated[at] = substitute;
+        ExpectTypedOrStable(mutated);
+      }
+    }
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::string mutated = input;
+      for (int i = 0; i < 2; ++i) {
+        mutated[rng() % mutated.size()] = substitutes[rng() % 6];
+      }
+      ExpectTypedOrStable(mutated);
+    }
+  }
 }
 
 }  // namespace

@@ -65,6 +65,9 @@ ID_FIELDS = {
     # bench_micro v-opt strategy table: the interval cost the solve
     # minimizes (squared for NoiseFirst, absolute for StructureFirst).
     "cost",
+    # bench_micro CRC-32 and sparse range-sum tables: the frame size, and
+    # the number of keys the release stores.
+    "bytes", "keys",
 }
 
 # Measured wall-clock fields: machine-dependent, ratio-gated.
