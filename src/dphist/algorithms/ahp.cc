@@ -13,8 +13,9 @@ Ahp::Ahp() : options_(Options()) {}
 
 Ahp::Ahp(Options options) : options_(options) {}
 
-Result<Histogram> Ahp::Publish(const Histogram& histogram, double epsilon,
-                               Rng& rng) const {
+Result<Histogram> Ahp::PublishPrepared(const Histogram& histogram,
+                                       const PreparedTruth* /*prepared*/,
+                                       double epsilon, Rng& rng) const {
   return PublishWithDetails(histogram, epsilon, rng, nullptr);
 }
 

@@ -65,8 +65,9 @@ class Ahp final : public HistogramPublisher {
 
   std::string name() const override { return "ahp"; }
 
-  Result<Histogram> Publish(const Histogram& histogram, double epsilon,
-                            Rng& rng) const override;
+  Result<Histogram> PublishPrepared(const Histogram& histogram,
+                                    const PreparedTruth* prepared,
+                                    double epsilon, Rng& rng) const override;
 
   /// Like Publish, additionally filling `details` (may be null).
   Result<Histogram> PublishWithDetails(const Histogram& histogram,

@@ -11,8 +11,9 @@ BoostTree::BoostTree() : options_(Options()) {}
 
 BoostTree::BoostTree(Options options) : options_(options) {}
 
-Result<Histogram> BoostTree::Publish(const Histogram& histogram,
-                                     double epsilon, Rng& rng) const {
+Result<Histogram> BoostTree::PublishPrepared(const Histogram& histogram,
+                                             const PreparedTruth* /*prepared*/,
+                                             double epsilon, Rng& rng) const {
   DPHIST_RETURN_IF_ERROR(ValidatePublishArgs(histogram, epsilon));
   if (options_.fanout < 2) {
     return Status::InvalidArgument("BoostTree: fanout must be >= 2");

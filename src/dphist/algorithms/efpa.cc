@@ -31,8 +31,9 @@ Efpa::Efpa() : options_(Options()) {}
 
 Efpa::Efpa(Options options) : options_(options) {}
 
-Result<Histogram> Efpa::Publish(const Histogram& histogram, double epsilon,
-                                Rng& rng) const {
+Result<Histogram> Efpa::PublishPrepared(const Histogram& histogram,
+                                        const PreparedTruth* /*prepared*/,
+                                        double epsilon, Rng& rng) const {
   return PublishWithDetails(histogram, epsilon, rng, nullptr);
 }
 

@@ -12,9 +12,9 @@ GroupingSmoothing::GroupingSmoothing() : options_(Options()) {}
 
 GroupingSmoothing::GroupingSmoothing(Options options) : options_(options) {}
 
-Result<Histogram> GroupingSmoothing::Publish(const Histogram& histogram,
-                                             double epsilon,
-                                             Rng& rng) const {
+Result<Histogram> GroupingSmoothing::PublishPrepared(
+    const Histogram& histogram, const PreparedTruth* /*prepared*/,
+    double epsilon, Rng& rng) const {
   DPHIST_RETURN_IF_ERROR(ValidatePublishArgs(histogram, epsilon));
   if (options_.group_size == 0) {
     return Status::InvalidArgument("GroupingSmoothing: group_size must be >= 1");

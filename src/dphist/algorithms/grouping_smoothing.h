@@ -35,8 +35,9 @@ class GroupingSmoothing final : public HistogramPublisher {
 
   std::string name() const override { return "gs"; }
 
-  Result<Histogram> Publish(const Histogram& histogram, double epsilon,
-                            Rng& rng) const override;
+  Result<Histogram> PublishPrepared(const Histogram& histogram,
+                                    const PreparedTruth* prepared,
+                                    double epsilon, Rng& rng) const override;
 
   const Options& options() const { return options_; }
 

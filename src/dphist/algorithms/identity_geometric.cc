@@ -8,9 +8,9 @@
 
 namespace dphist {
 
-Result<Histogram> IdentityGeometric::Publish(const Histogram& histogram,
-                                             double epsilon,
-                                             Rng& rng) const {
+Result<Histogram> IdentityGeometric::PublishPrepared(
+    const Histogram& histogram, const PreparedTruth* /*prepared*/,
+    double epsilon, Rng& rng) const {
   DPHIST_RETURN_IF_ERROR(ValidatePublishArgs(histogram, epsilon));
   auto mechanism = GeometricMechanism::Create(epsilon, /*sensitivity=*/1,
                                               options_.noise_model);

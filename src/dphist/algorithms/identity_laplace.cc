@@ -4,8 +4,9 @@
 
 namespace dphist {
 
-Result<Histogram> IdentityLaplace::Publish(const Histogram& histogram,
-                                           double epsilon, Rng& rng) const {
+Result<Histogram> IdentityLaplace::PublishPrepared(
+    const Histogram& histogram, const PreparedTruth* /*prepared*/,
+    double epsilon, Rng& rng) const {
   DPHIST_RETURN_IF_ERROR(ValidatePublishArgs(histogram, epsilon));
   auto mechanism = LaplaceMechanism::Create(epsilon, /*sensitivity=*/1.0,
                                             options_.noise_model);

@@ -14,8 +14,9 @@ Mwem::Mwem() : options_(Options()) {}
 
 Mwem::Mwem(Options options) : options_(std::move(options)) {}
 
-Result<Histogram> Mwem::Publish(const Histogram& histogram, double epsilon,
-                                Rng& rng) const {
+Result<Histogram> Mwem::PublishPrepared(const Histogram& histogram,
+                                        const PreparedTruth* /*prepared*/,
+                                        double epsilon, Rng& rng) const {
   return PublishWithDetails(histogram, epsilon, rng, nullptr);
 }
 

@@ -61,8 +61,9 @@ class Mwem final : public HistogramPublisher {
 
   std::string name() const override { return "mwem"; }
 
-  Result<Histogram> Publish(const Histogram& histogram, double epsilon,
-                            Rng& rng) const override;
+  Result<Histogram> PublishPrepared(const Histogram& histogram,
+                                    const PreparedTruth* prepared,
+                                    double epsilon, Rng& rng) const override;
 
   /// Like Publish, additionally filling `details` (may be null).
   Result<Histogram> PublishWithDetails(const Histogram& histogram,

@@ -21,8 +21,9 @@ std::size_t NoiseFirst::AutoGridStep(std::size_t n) {
   return (n + 1023) / 1024;
 }
 
-Result<Histogram> NoiseFirst::Publish(const Histogram& histogram,
-                                      double epsilon, Rng& rng) const {
+Result<Histogram> NoiseFirst::PublishPrepared(const Histogram& histogram,
+                                              const PreparedTruth* /*prepared*/,
+                                              double epsilon, Rng& rng) const {
   return PublishWithDetails(histogram, epsilon, rng, nullptr);
 }
 

@@ -38,8 +38,9 @@ PHPartition::PHPartition() : options_(Options()) {}
 
 PHPartition::PHPartition(Options options) : options_(options) {}
 
-Result<Histogram> PHPartition::Publish(const Histogram& histogram,
-                                       double epsilon, Rng& rng) const {
+Result<Histogram> PHPartition::PublishPrepared(
+    const Histogram& histogram, const PreparedTruth* /*prepared*/,
+    double epsilon, Rng& rng) const {
   return PublishWithDetails(histogram, epsilon, rng, nullptr);
 }
 

@@ -11,8 +11,9 @@ Privelet::Privelet() : options_(Options()) {}
 
 Privelet::Privelet(Options options) : options_(options) {}
 
-Result<Histogram> Privelet::Publish(const Histogram& histogram,
-                                    double epsilon, Rng& rng) const {
+Result<Histogram> Privelet::PublishPrepared(const Histogram& histogram,
+                                            const PreparedTruth* /*prepared*/,
+                                            double epsilon, Rng& rng) const {
   DPHIST_RETURN_IF_ERROR(ValidatePublishArgs(histogram, epsilon));
   const std::size_t n = histogram.size();
 

@@ -36,8 +36,9 @@ class Privelet final : public HistogramPublisher {
 
   std::string name() const override { return "privelet"; }
 
-  Result<Histogram> Publish(const Histogram& histogram, double epsilon,
-                            Rng& rng) const override;
+  Result<Histogram> PublishPrepared(const Histogram& histogram,
+                                    const PreparedTruth* prepared,
+                                    double epsilon, Rng& rng) const override;
 
   const Options& options() const { return options_; }
 

@@ -48,10 +48,19 @@ class InstrumentedPublisher : public HistogramPublisher {
 
   std::string name() const override { return name_; }
 
-  Result<Histogram> Publish(const Histogram& histogram, double epsilon,
-                            Rng& rng) const override {
+  // The data-only stage draws nothing and counts as no run, so it passes
+  // through unmeasured; its own work records under its own names (for
+  // StructureFirst, `interval_cost/build`).
+  Result<std::shared_ptr<const PreparedTruth>> Prepare(
+      const Histogram& truth) const override {
+    return inner_->Prepare(truth);
+  }
+
+  Result<Histogram> PublishPrepared(const Histogram& histogram,
+                                    const PreparedTruth* prepared,
+                                    double epsilon, Rng& rng) const override {
     if (!obs::Enabled()) {
-      return inner_->Publish(histogram, epsilon, rng);
+      return inner_->PublishPrepared(histogram, prepared, epsilon, rng);
     }
     runs_.Increment();
     epsilon_.Record(epsilon);
@@ -60,7 +69,7 @@ class InstrumentedPublisher : public HistogramPublisher {
     // when RunCell publishes several cells concurrently.
     obs::DrawAttributionScope attribution(&laplace_draws_, &geometric_draws_);
     const auto start = std::chrono::steady_clock::now();
-    auto released = inner_->Publish(histogram, epsilon, rng);
+    auto released = inner_->PublishPrepared(histogram, prepared, epsilon, rng);
     wall_ms_.Record(std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - start)
                         .count());

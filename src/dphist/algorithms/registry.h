@@ -25,10 +25,12 @@ namespace dphist {
 /// Every publisher the factory returns is wrapped in an observability
 /// decorator (see `Instrument`) that records, per publisher name and only
 /// while obs is enabled: publication count, per-run wall time, epsilon per
-/// run, and Laplace/geometric draws consumed. The wrapper preserves
-/// `name()` and the thread-safety contract, and forwards everything else
-/// untouched — parallel_experiment_test proves the published histograms
-/// are unchanged bit-for-bit.
+/// run, and Laplace/geometric draws consumed. It measures the randomized
+/// stage (`PublishPrepared`, which `Publish` ends in) and forwards the
+/// data-only `Prepare` unmeasured. The wrapper preserves `name()` and the
+/// thread-safety contract, and forwards everything else untouched —
+/// parallel_experiment_test proves the published histograms are unchanged
+/// bit-for-bit.
 class PublisherRegistry {
  public:
   /// The paper's algorithm names, in presentation order.

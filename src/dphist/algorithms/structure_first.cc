@@ -1,10 +1,13 @@
 #include "dphist/algorithms/structure_first.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "dphist/algorithms/noise_first.h"
 #include "dphist/common/math_util.h"
 #include "dphist/hist/vopt_dp.h"
+#include "dphist/obs/obs.h"
 #include "dphist/privacy/exponential_mechanism.h"
 #include "dphist/privacy/laplace_mechanism.h"
 
@@ -51,15 +54,7 @@ StructureFirst::StructureFirst() : options_(Options()) {}
 
 StructureFirst::StructureFirst(Options options) : options_(options) {}
 
-Result<Histogram> StructureFirst::Publish(const Histogram& histogram,
-                                          double epsilon, Rng& rng) const {
-  return PublishWithDetails(histogram, epsilon, rng, nullptr);
-}
-
-Result<Histogram> StructureFirst::PublishWithDetails(
-    const Histogram& histogram, double epsilon, Rng& rng,
-    Details* details) const {
-  DPHIST_RETURN_IF_ERROR(ValidatePublishArgs(histogram, epsilon));
+Status StructureFirst::ValidateOptions() const {
   if (!(options_.structure_budget_ratio > 0.0) ||
       !(options_.structure_budget_ratio < 1.0)) {
     return Status::InvalidArgument(
@@ -75,58 +70,110 @@ Result<Histogram> StructureFirst::PublishWithDetails(
     return Status::InvalidArgument(
         "StructureFirst: count_cap must be > 0 for the squared cost");
   }
-  const std::size_t n = histogram.size();
+  return Status::Ok();
+}
 
+std::size_t StructureFirst::GridStep(std::size_t n) const {
+  return options_.grid_step == 0 ? NoiseFirst::AutoGridStep(n)
+                                 : options_.grid_step;
+}
+
+Result<std::shared_ptr<const PreparedTruth>> StructureFirst::Prepare(
+    const Histogram& truth) const {
+  DPHIST_RETURN_IF_ERROR(ValidateTruth(truth));
+  DPHIST_RETURN_IF_ERROR(ValidateOptions());
   // Scoring copy of the counts (clamped for the squared cost so the
   // exponential-mechanism sensitivity is a data-independent constant).
-  std::vector<double> scoring = histogram.counts();
-  double utility_sensitivity = 2.0;
+  std::vector<double> scoring = truth.counts();
   if (options_.cost_kind == CostKind::kSquared) {
     for (double& v : scoring) {
       v = Clamp(v, 0.0, options_.count_cap);
     }
-    utility_sensitivity = 2.0 * options_.count_cap + 1.0;
   }
-
   IntervalCostTable::Options cost_options;
   cost_options.kind = options_.cost_kind;
-  cost_options.grid_step = options_.grid_step == 0
-                               ? NoiseFirst::AutoGridStep(n)
-                               : options_.grid_step;
-  auto cost_table = IntervalCostTable::Create(scoring, cost_options);
-  if (!cost_table.ok()) {
-    return cost_table.status();
+  cost_options.grid_step = GridStep(truth.size());
+  DPHIST_ASSIGN_OR_RETURN(IntervalCostTable costs,
+                          IntervalCostTable::Create(scoring, cost_options));
+  return std::shared_ptr<const PreparedTruth>(new Prepared(
+      std::move(costs), options_.count_cap, FingerprintHistogram(truth)));
+}
+
+Result<Histogram> StructureFirst::PublishPrepared(
+    const Histogram& histogram, const PreparedTruth* prepared, double epsilon,
+    Rng& rng) const {
+  return PublishWithDetails(histogram, prepared, epsilon, rng, nullptr);
+}
+
+Result<Histogram> StructureFirst::PublishWithDetails(
+    const Histogram& histogram, double epsilon, Rng& rng,
+    Details* details) const {
+  // A bad epsilon fails before the table build, as in Publish.
+  DPHIST_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
+  DPHIST_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedTruth> prepared,
+                          Prepare(histogram));
+  return PublishWithDetails(histogram, prepared.get(), epsilon, rng, details);
+}
+
+Result<Histogram> StructureFirst::PublishWithDetails(
+    const Histogram& histogram, const PreparedTruth* prepared, double epsilon,
+    Rng& rng, Details* details) const {
+  DPHIST_RETURN_IF_ERROR(ValidatePublishArgs(histogram, epsilon));
+  DPHIST_RETURN_IF_ERROR(ValidateOptions());
+  const std::size_t n = histogram.size();
+  const auto* own = dynamic_cast<const Prepared*>(prepared);
+  if (own == nullptr) {
+    return Status::InvalidArgument(
+        "StructureFirst: needs the Prepared object its own Prepare builds");
   }
-  const IntervalCostTable& costs = cost_table.value();
+  const IntervalCostTable& costs = own->costs();
+  if (costs.domain_size() != n || costs.kind() != options_.cost_kind ||
+      costs.grid_step() != GridStep(n) ||
+      (options_.cost_kind == CostKind::kSquared &&
+       own->count_cap() != options_.count_cap)) {
+    return Status::InvalidArgument(
+        "StructureFirst: the prepared cost table was built for another "
+        "domain size, cost kind, grid step or count cap");
+  }
+  if (own->truth_fingerprint() != FingerprintHistogram(histogram)) {
+    return Status::InvalidArgument(
+        "StructureFirst: the prepared cost table was built from other "
+        "counts");
+  }
   const std::size_t m = costs.num_candidates();
+  const double utility_sensitivity =
+      options_.cost_kind == CostKind::kSquared
+          ? 2.0 * options_.count_cap + 1.0
+          : 2.0;
 
-  const double eps_s = options_.structure_budget_ratio * epsilon;
-  std::size_t k = 0;
-  double structure_spent = 0.0;  // accumulates as draws actually happen
+  // The v-opt tables: a fixed k needs them only for a data-dependent
+  // structure; adaptive k reads the best merge cost of every candidate k.
+  const bool adaptive = options_.num_buckets == 0;
+  const std::size_t k_cap =
+      adaptive ? (options_.max_buckets_considered == 0
+                      ? std::min<std::size_t>(m, 128)
+                      : std::min(options_.max_buckets_considered, m))
+               : std::min(options_.num_buckets, m);
   Result<VOptSolver> solver = Status::Internal("unset");
-
-  VOptSolver::SolveOptions solve_options;
-  solve_options.strategy = options_.vopt_strategy;
-  if (options_.num_buckets != 0) {
-    k = std::min(options_.num_buckets, m);
-    if (k > 1 && k < m) {
-      solver = VOptSolver::Solve(costs, k, solve_options);
-      if (!solver.ok()) {
-        return solver.status();
-      }
-    }
-  } else {
-    // Adaptive k: one exponential-mechanism draw over candidate bucket
-    // counts, scored by the best achievable merge cost plus the expected
-    // total absolute count noise (k buckets -> k * E|Lap(1/eps_c)|).
-    const std::size_t k_cap =
-        options_.max_buckets_considered == 0
-            ? std::min<std::size_t>(m, 128)
-            : std::min(options_.max_buckets_considered, m);
+  if (adaptive || (k_cap > 1 && k_cap < m)) {
+    VOptSolver::SolveOptions solve_options;
+    solve_options.strategy = options_.vopt_strategy;
     solver = VOptSolver::Solve(costs, k_cap, solve_options);
     if (!solver.ok()) {
       return solver.status();
     }
+  }
+
+  // Everything past the solve draws from `rng`: the k draw, the boundary
+  // draws, the bucket noise, and the expansion back to unit bins.
+  obs::ScopedTimer draws_timer("structure_first/draws");
+  const double eps_s = options_.structure_budget_ratio * epsilon;
+  std::size_t k = k_cap;
+  double structure_spent = 0.0;  // accumulates as draws actually happen
+  if (adaptive) {
+    // Adaptive k: one exponential-mechanism draw over candidate bucket
+    // counts, scored by the best achievable merge cost plus the expected
+    // total absolute count noise (k buckets -> k * E|Lap(1/eps_c)|).
     const double eps_k = options_.k_selection_ratio * eps_s;
     // Planned count budget (a constant; the realized one below can only
     // be larger, which only helps).

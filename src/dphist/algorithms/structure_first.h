@@ -2,7 +2,10 @@
 #define DPHIST_ALGORITHMS_STRUCTURE_FIRST_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dphist/algorithms/publisher.h"
@@ -53,6 +56,12 @@ namespace dphist {
 ///     use Delta_u = 2 * count_cap + 1. The published counts are never
 ///     clamped. This mirrors the boundedness assumption required to
 ///     instantiate the original paper's SSE-based score.
+///
+/// Stages. The structure is scored on the true counts, so the interval-cost
+/// table depends only on the truth, the cost kind, the grid step and the
+/// count cap: `Prepare` builds it once, and every `PublishPrepared` over
+/// that truth reads it, whatever its epsilon and seed. The v-opt solve, the
+/// k draw, the boundary draws and the bucket noise run per release.
 class StructureFirst final : public HistogramPublisher {
  public:
   struct Options {
@@ -94,6 +103,36 @@ class StructureFirst final : public HistogramPublisher {
     NoiseModel noise_model = NoiseModel::kAuto;
   };
 
+  /// What `Prepare` builds: the scoring interval-cost table over the true
+  /// counts, clamped to [0, count_cap] for the squared cost. The table
+  /// records its domain size, cost kind and grid step; the count cap and
+  /// the truth's `FingerprintHistogram` are kept beside it. A
+  /// `PublishPrepared` whose truth or options disagree with any of the
+  /// five fails with InvalidArgument, so a table scored on other counts
+  /// can never pick a structure.
+  class Prepared final : public PreparedTruth {
+   public:
+    /// The scoring table the boundary utilities read.
+    const IntervalCostTable& costs() const { return costs_; }
+    /// The cap the scoring counts were clamped to (squared cost only).
+    double count_cap() const { return count_cap_; }
+    /// `FingerprintHistogram` of the truth the table was built from.
+    std::uint64_t truth_fingerprint() const { return truth_fingerprint_; }
+
+   private:
+    friend class StructureFirst;
+
+    Prepared(IntervalCostTable costs, double count_cap,
+             std::uint64_t truth_fingerprint)
+        : costs_(std::move(costs)),
+          count_cap_(count_cap),
+          truth_fingerprint_(truth_fingerprint) {}
+
+    IntervalCostTable costs_;
+    double count_cap_;
+    std::uint64_t truth_fingerprint_;
+  };
+
   /// Diagnostic output of a publication run.
   struct Details {
     /// Number of buckets actually used.
@@ -116,17 +155,35 @@ class StructureFirst final : public HistogramPublisher {
 
   std::string name() const override { return "structure_first"; }
 
-  Result<Histogram> Publish(const Histogram& histogram, double epsilon,
-                            Rng& rng) const override;
+  /// Builds a `Prepared` over `truth`. Fails with InvalidArgument for an
+  /// empty histogram, a non-finite count, invalid options, or a table past
+  /// IntervalCostTable's cell cap.
+  Result<std::shared_ptr<const PreparedTruth>> Prepare(
+      const Histogram& truth) const override;
+
+  Result<Histogram> PublishPrepared(const Histogram& histogram,
+                                    const PreparedTruth* prepared,
+                                    double epsilon, Rng& rng) const override;
 
   /// Like Publish, additionally filling `details` (may be null).
   Result<Histogram> PublishWithDetails(const Histogram& histogram,
                                        double epsilon, Rng& rng,
                                        Details* details) const;
 
+  /// Like PublishPrepared, additionally filling `details` (may be null).
+  Result<Histogram> PublishWithDetails(const Histogram& histogram,
+                                       const PreparedTruth* prepared,
+                                       double epsilon, Rng& rng,
+                                       Details* details) const;
+
   const Options& options() const { return options_; }
 
  private:
+  Status ValidateOptions() const;
+
+  /// The grid step of the cost table for a domain of `n` bins.
+  std::size_t GridStep(std::size_t n) const;
+
   Options options_;
 };
 

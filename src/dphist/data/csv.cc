@@ -1,74 +1,16 @@
 #include "dphist/data/csv.h"
 
-#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <system_error>
+#include <string_view>
 #include <vector>
 
+#include "dphist/common/csv_text.h"
 #include "dphist/testing/failpoint.h"
 
 namespace dphist {
-
-namespace {
-
-// Trims ASCII whitespace from both ends.
-std::string Trim(const std::string& s) {
-  std::size_t begin = 0;
-  std::size_t end = s.size();
-  while (begin < end && (s[begin] == ' ' || s[begin] == '\t' ||
-                         s[begin] == '\r' || s[begin] == '\n')) {
-    ++begin;
-  }
-  while (end > begin && (s[end - 1] == ' ' || s[end - 1] == '\t' ||
-                         s[end - 1] == '\r' || s[end - 1] == '\n')) {
-    --end;
-  }
-  return s.substr(begin, end - begin);
-}
-
-Result<double> ParseDouble(const std::string& token, std::size_t line_no) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(token, &consumed);
-    if (consumed != token.size()) {
-      return Status::ParseError("trailing characters on line " +
-                                std::to_string(line_no));
-    }
-    return value;
-  } catch (...) {
-    return Status::ParseError("not a number on line " +
-                              std::to_string(line_no));
-  }
-}
-
-// Parses a bin index as an exact unsigned 64-bit integer. The previous
-// implementation went through double, which silently rounds indices above
-// 2^53 — fatal once domains can reach 2^63. Malformed text is a parse
-// error; a numerically valid index too large for uint64 is a typed
-// kInvalidArgument so callers can distinguish corrupt files from
-// out-of-range ones.
-Result<std::uint64_t> ParseIndexU64(const std::string& token,
-                                    std::size_t line_no) {
-  std::uint64_t value = 0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec == std::errc::result_out_of_range) {
-    return Status::InvalidArgument("index overflows uint64 on line " +
-                                   std::to_string(line_no));
-  }
-  if (ec != std::errc() || ptr != end) {
-    return Status::ParseError("index is not a non-negative integer on line " +
-                              std::to_string(line_no));
-  }
-  return value;
-}
-
-}  // namespace
 
 Result<Histogram> LoadHistogramCsv(const std::string& path) {
   std::ifstream in(path);
@@ -84,32 +26,26 @@ Result<Histogram> LoadHistogramCsv(const std::string& path) {
     // an every-Nth trigger the loader dies partway through, which must
     // surface as a typed error, never a silently short histogram.
     DPHIST_FAILPOINT_RETURN_IF_SET("data/csv/read_line");
-    const std::string trimmed = Trim(line);
+    const std::string_view trimmed = TrimCsvField(line);
     if (trimmed.empty() || trimmed[0] == '#') {
       continue;
     }
     const std::size_t comma = trimmed.find(',');
-    if (comma == std::string::npos) {
-      auto value = ParseDouble(trimmed, line_no);
-      if (!value.ok()) {
-        return value.status();
-      }
-      counts.push_back(value.value());
-    } else {
-      auto index = ParseIndexU64(Trim(trimmed.substr(0, comma)), line_no);
-      if (!index.ok()) {
-        return index.status();
-      }
-      if (index.value() != counts.size()) {
+    std::string_view count_field = trimmed;
+    if (comma != std::string_view::npos) {
+      std::uint64_t index = 0;
+      DPHIST_RETURN_IF_ERROR(ParseCsvIndex(
+          TrimCsvField(trimmed.substr(0, comma)), "index", line_no, &index));
+      if (index != counts.size()) {
         return Status::ParseError("indices must be dense and in order (line " +
                                   std::to_string(line_no) + ")");
       }
-      auto value = ParseDouble(Trim(trimmed.substr(comma + 1)), line_no);
-      if (!value.ok()) {
-        return value.status();
-      }
-      counts.push_back(value.value());
+      count_field = TrimCsvField(trimmed.substr(comma + 1));
     }
+    double count = 0.0;
+    DPHIST_RETURN_IF_ERROR(
+        ParseCsvCount(count_field, "count", line_no, &count));
+    counts.push_back(count);
   }
   if (counts.empty()) {
     return Status::ParseError("no counts found in " + path);
@@ -123,7 +59,7 @@ Status SaveHistogramCsv(const Histogram& histogram, const std::string& path) {
     return Status::NotFound("cannot open " + path + " for writing");
   }
   for (std::size_t i = 0; i < histogram.size(); ++i) {
-    out << i << "," << histogram.count(i) << "\n";
+    WriteCsvRow(i, histogram.count(i), out);
   }
   if (!out) {
     return Status::Internal("write to " + path + " failed");

@@ -15,7 +15,8 @@ namespace dphist {
 /// Format: one line per unit bin. A line is either a bare count
 /// ("42") or an "index,count" pair; in the latter case indices must be
 /// 0-based, dense and in order. Blank lines and lines starting with '#'
-/// are skipped.
+/// are skipped. Counts are written and read exactly, bit for bit (see
+/// common/csv_text.h).
 
 /// Loads a histogram from `path`. Returns NotFound if the file cannot be
 /// opened and ParseError on malformed content.

@@ -1,6 +1,7 @@
 #include "dphist/hist/histogram.h"
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -126,6 +127,28 @@ Status CheckFiniteCounts(const std::vector<double>& counts) {
     }
   }
   return Status::Ok();
+}
+
+std::uint64_t FingerprintHistogram(const Histogram& histogram) {
+  // FNV-1a over the size and the raw double bits of every count. Bit-level
+  // (not value-level) identity: -0.0 vs 0.0 or different NaN payloads are
+  // different inputs to a publisher and must not alias.
+  constexpr std::uint64_t kOffset = 1469598103934665603ULL;
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  auto mix = [](std::uint64_t hash, std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffULL;
+      hash *= kPrime;
+    }
+    return hash;
+  };
+  std::uint64_t hash = mix(kOffset, histogram.size());
+  for (const double count : histogram.counts()) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &count, sizeof(bits));
+    hash = mix(hash, bits);
+  }
+  return hash;
 }
 
 }  // namespace dphist

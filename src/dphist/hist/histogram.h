@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -109,6 +110,13 @@ class Histogram {
 /// count would otherwise publish an all-NaN release (and a NaN mean scores
 /// its interval's absolute cost as 0).
 Status CheckFiniteCounts(const std::vector<double>& counts);
+
+/// 64-bit FNV-1a fingerprint of a histogram's exact bit pattern (size and
+/// every count's double bits). Two histograms share a fingerprint iff they
+/// are bit-identical, which is the identity both a release cache and a
+/// publisher's data-only stage need: the same truth gives the same
+/// deterministic release and the same prepared tables.
+std::uint64_t FingerprintHistogram(const Histogram& histogram);
 
 }  // namespace dphist
 

@@ -135,11 +135,14 @@ bool SplitDoubles(std::string_view text, std::vector<double>* out) {
     const std::string_view token = text.substr(
         pos, comma == std::string_view::npos ? std::string_view::npos
                                              : comma - pos);
-    double value = 0.0;
-    const auto [end, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec != std::errc{} || end != token.data() + token.size()) {
-      return false;
+    double value = std::numeric_limits<double>::quiet_NaN();
+    // JoinDoubles writes every non-finite value as null.
+    if (token != "null") {
+      const auto [end, ec] =
+          std::from_chars(token.data(), token.data() + token.size(), value);
+      if (ec != std::errc{} || end != token.data() + token.size()) {
+        return false;
+      }
     }
     out->push_back(value);
     if (comma == std::string_view::npos) {

@@ -37,8 +37,10 @@ namespace net {
 /// JsonObjectWriter/ParseFlatJson schema — no nesting), so any message is
 /// inspectable with curl. Repeated values (queries, answers, counts)
 /// travel as a single comma-separated string field; doubles are formatted
-/// with round-trip precision, so the JSON path is answer-for-answer
-/// byte-identical with the binary path.
+/// with round-trip precision, so every finite answer or count decodes to
+/// the same bits the binary path carries. A NaN or an infinity is written
+/// as `null` and decodes as a quiet NaN: JSON carries +-inf as NaN, and
+/// only the binary codec keeps an infinity.
 
 /// First bytes of every binary frame.
 inline constexpr char kWireMagic[] = "DPHWIR1\n";

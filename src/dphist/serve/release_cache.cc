@@ -1,6 +1,5 @@
 #include "dphist/serve/release_cache.h"
 
-#include <cstring>
 #include <tuple>
 #include <utility>
 
@@ -50,28 +49,6 @@ obs::Counter& FrameMissCounter() {
 }
 
 }  // namespace
-
-std::uint64_t FingerprintHistogram(const Histogram& histogram) {
-  // FNV-1a over the size and the raw double bits of every count. Bit-level
-  // (not value-level) identity: -0.0 vs 0.0 or different NaN payloads are
-  // different inputs to a publisher and must not alias in the cache.
-  constexpr std::uint64_t kOffset = 1469598103934665603ULL;
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
-  auto mix = [](std::uint64_t hash, std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (8 * byte)) & 0xffULL;
-      hash *= kPrime;
-    }
-    return hash;
-  };
-  std::uint64_t hash = mix(kOffset, histogram.size());
-  for (const double count : histogram.counts()) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &count, sizeof(bits));
-    hash = mix(hash, bits);
-  }
-  return hash;
-}
 
 bool ReleaseKeyLess::operator()(const ReleaseKey& a,
                                 const ReleaseKey& b) const {

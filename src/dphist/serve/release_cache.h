@@ -23,12 +23,8 @@
 namespace dphist {
 namespace serve {
 
-/// 64-bit FNV-1a fingerprint of a histogram's exact bit pattern (size and
-/// every count's double bits). Two histograms share a fingerprint iff they
-/// are bit-identical, which is the right identity for a release cache: the
-/// same truth published by the same publisher at the same (epsilon, seed)
-/// is the same deterministic release.
-std::uint64_t FingerprintHistogram(const Histogram& histogram);
+/// The dataset identity of a release key (hist/histogram.h).
+using ::dphist::FingerprintHistogram;
 
 /// \brief Identity of one published release: which tenant's dataset, which
 /// algorithm, at what budget, with which noise stream. Publishers are

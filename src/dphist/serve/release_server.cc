@@ -45,6 +45,18 @@ obs::Distribution& BatchDistribution() {
   return distribution;
 }
 
+obs::Counter& PrepareBuildCounter() {
+  static obs::Counter& counter =
+      obs::Registry::Global().GetCounter("serve/prepare/builds");
+  return counter;
+}
+
+obs::Counter& PrepareReuseCounter() {
+  static obs::Counter& counter =
+      obs::Registry::Global().GetCounter("serve/prepare/reuses");
+  return counter;
+}
+
 obs::Counter& RetryCounter() {
   static obs::Counter& counter =
       obs::Registry::Global().GetCounter("serve/retries");
@@ -94,6 +106,27 @@ ReleaseServer::Dataset::Dataset(TenantKey key,
     : sparse_truth(std::move(sparse_in)),
       fingerprint(sparse::FingerprintSparseHistogram(*sparse_truth)),
       ledger(std::move(key), total_epsilon, journal) {}
+
+Result<std::shared_ptr<const PreparedTruth>>
+ReleaseServer::Dataset::PreparedFor(const std::string& publisher_name,
+                                    const HistogramPublisher& publisher) {
+  PreparedSlot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(prepared_mutex);
+    // Map nodes never move and slots are never erased, so the pointer
+    // outlives the lock.
+    slot = &prepared.try_emplace(publisher_name).first->second;
+  }
+  std::lock_guard<std::mutex> lock(slot->mutex);
+  if (slot->built) {
+    PrepareReuseCounter().Increment();
+  } else {
+    slot->result = publisher.Prepare(truth);
+    slot->built = true;
+    PrepareBuildCounter().Increment();
+  }
+  return slot->result;
+}
 
 ReleaseServer::ReleaseServer(ReleaseServerOptions options)
     : options_(options), cache_(ReleaseCacheOptions{options.cache_shards}) {}
@@ -223,6 +256,11 @@ Result<std::shared_ptr<const CachedRelease>> ReleaseServer::GetRelease(
     if (!publisher.ok()) {
       return publisher.status();
     }
+    // The data-only stage comes before the charge: it draws nothing, and
+    // a release it cannot prepare must cost no budget.
+    DPHIST_ASSIGN_OR_RETURN(
+        std::shared_ptr<const PreparedTruth> prepared,
+        dataset->PreparedFor(request.publisher, *publisher.value()));
     DPHIST_RETURN_IF_ERROR(dataset->ledger.Charge(
         request.epsilon, request.publisher + ":seed=" +
                              std::to_string(request.seed)));
@@ -230,8 +268,8 @@ Result<std::shared_ptr<const CachedRelease>> ReleaseServer::GetRelease(
     // cannot cover); publish failures after a successful charge are
     // conservative — the epsilon stays spent.
     Rng rng(request.seed);
-    Result<Histogram> published =
-        publisher.value()->Publish(dataset->truth, request.epsilon, rng);
+    Result<Histogram> published = publisher.value()->PublishPrepared(
+        dataset->truth, prepared.get(), request.epsilon, rng);
     if (!published.ok() || options_.journal == nullptr) {
       return published;
     }

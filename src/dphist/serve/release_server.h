@@ -6,11 +6,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
 
+#include "dphist/algorithms/publisher.h"
 #include "dphist/common/clock.h"
 #include "dphist/common/parallel_defaults.h"
 #include "dphist/common/result.h"
@@ -175,10 +177,18 @@ struct RecoveryStats {
 /// immutable once cached. `AddDataset` and `Recover` are typically called
 /// at startup but are themselves thread-safe.
 ///
+/// Data-only stages: each dense dataset keeps one `Prepare` result per
+/// publisher name (StructureFirst's scoring cost table), built inside the
+/// first publish slot that needs it and before that slot's ledger charge,
+/// so a release that cannot be prepared is never charged. Every later
+/// release of the dataset under that publisher reuses it; the per-release
+/// stage (solve, draws, noise) reads it and releases the same bits a
+/// from-scratch `Publish` would. It lives as long as the server.
+///
 /// Obs: `serve/batches`, `serve/batch/queries`, `serve/batches_stale`,
-/// `serve/retries`, `serve/deadline_exceeded` counters and the
-/// `serve/batch` wall-ms distribution, on top of the cache, ledger, and
-/// journal metrics.
+/// `serve/retries`, `serve/deadline_exceeded`, `serve/prepare/builds` and
+/// `serve/prepare/reuses` counters and the `serve/batch` wall-ms
+/// distribution, on top of the cache, ledger, and journal metrics.
 class ReleaseServer {
  public:
   /// Creates an empty server; register namespaces with `AddDataset`.
@@ -306,10 +316,30 @@ class ReleaseServer {
       return is_sparse() ? sparse_truth->domain_size() : truth.size();
     }
 
+    /// One publisher's `Prepare(truth)` result, built once on first use.
+    struct PreparedSlot {
+      std::mutex mutex;
+      bool built = false;
+      Result<std::shared_ptr<const PreparedTruth>> result =
+          std::shared_ptr<const PreparedTruth>();
+    };
+
+    /// `publisher.Prepare(truth)`, built by the first caller for
+    /// `publisher_name` and shared with every later one, error included.
+    /// Racing first callers wait on the slot, as racing misses of one key
+    /// wait on the cache's publish slot.
+    Result<std::shared_ptr<const PreparedTruth>> PreparedFor(
+        const std::string& publisher_name,
+        const HistogramPublisher& publisher);
+
     Histogram truth;  // empty for sparse datasets
     std::optional<sparse::SparseHistogram> sparse_truth;
     std::uint64_t fingerprint;
     BudgetLedger ledger;
+    /// Data-only publisher stages over `truth`, by publisher name. Never
+    /// journaled: a restart rebuilds each on its first publish.
+    std::mutex prepared_mutex;
+    std::map<std::string, PreparedSlot> prepared;
   };
 
   /// Resolves `key` to its namespace, or the typed isolation error.

@@ -1,66 +1,15 @@
 #include "dphist/sparse/sparse_csv.h"
 
-#include <charconv>
 #include <cstddef>
 #include <fstream>
 #include <string>
-#include <system_error>
+#include <string_view>
 #include <vector>
 
-#include "dphist/obs/export.h"
+#include "dphist/common/csv_text.h"
 
 namespace dphist {
 namespace sparse {
-namespace {
-
-std::string Trim(const std::string& s) {
-  std::size_t begin = 0;
-  std::size_t end = s.size();
-  while (begin < end && (s[begin] == ' ' || s[begin] == '\t' ||
-                         s[begin] == '\r' || s[begin] == '\n')) {
-    ++begin;
-  }
-  while (end > begin && (s[end - 1] == ' ' || s[end - 1] == '\t' ||
-                         s[end - 1] == '\r' || s[end - 1] == '\n')) {
-    --end;
-  }
-  return s.substr(begin, end - begin);
-}
-
-Result<std::uint64_t> ParseKey(const std::string& token, std::size_t line_no) {
-  std::uint64_t value = 0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec == std::errc::result_out_of_range) {
-    return Status::InvalidArgument("sparse csv: key overflows uint64 on line " +
-                                   std::to_string(line_no));
-  }
-  if (ec != std::errc() || ptr != end) {
-    return Status::ParseError(
-        "sparse csv: key is not a non-negative integer on line " +
-        std::to_string(line_no));
-  }
-  return value;
-}
-
-Result<double> ParseCount(const std::string& token, std::size_t line_no) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(token, &consumed);
-    if (consumed != token.size()) {
-      return Status::ParseError("sparse csv: trailing characters on line " +
-                                std::to_string(line_no));
-    }
-    return value;
-  } catch (...) {
-    return Status::ParseError("sparse csv: count is not a number on line " +
-                              std::to_string(line_no));
-  }
-}
-
-}  // namespace
-
 Result<SparseHistogram> LoadSparseHistogramCsv(const std::string& path,
                                                std::uint64_t domain_size) {
   std::ifstream in(path);
@@ -72,21 +21,23 @@ Result<SparseHistogram> LoadSparseHistogramCsv(const std::string& path,
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    const std::string trimmed = Trim(line);
+    const std::string_view trimmed = TrimCsvField(line);
     if (trimmed.empty() || trimmed[0] == '#') {
       continue;
     }
     const std::size_t comma = trimmed.find(',');
-    if (comma == std::string::npos) {
+    if (comma == std::string_view::npos) {
       return Status::ParseError("sparse csv: expected 'key,count' on line " +
                                 std::to_string(line_no));
     }
-    DPHIST_ASSIGN_OR_RETURN(const std::uint64_t key,
-                            ParseKey(Trim(trimmed.substr(0, comma)), line_no));
-    DPHIST_ASSIGN_OR_RETURN(
-        const double count,
-        ParseCount(Trim(trimmed.substr(comma + 1)), line_no));
-    entries.push_back(SparseEntry{key, count});
+    SparseEntry entry;
+    DPHIST_RETURN_IF_ERROR(ParseCsvIndex(TrimCsvField(trimmed.substr(0, comma)),
+                                         "sparse csv: key", line_no,
+                                         &entry.key));
+    DPHIST_RETURN_IF_ERROR(
+        ParseCsvCount(TrimCsvField(trimmed.substr(comma + 1)),
+                      "sparse csv: count", line_no, &entry.count));
+    entries.push_back(entry);
   }
   return SparseHistogram::Create(domain_size, std::move(entries));
 }
@@ -98,7 +49,7 @@ Status SaveSparseHistogramCsv(const SparseHistogram& histogram,
     return Status::NotFound("cannot open " + path + " for writing");
   }
   for (const SparseEntry& entry : histogram.entries()) {
-    out << entry.key << "," << obs::JsonDouble(entry.count) << "\n";
+    WriteCsvRow(entry.key, entry.count, out);
   }
   if (!out) {
     return Status::Internal("write to " + path + " failed");

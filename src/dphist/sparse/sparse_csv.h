@@ -6,7 +6,8 @@
 /// key, keys strictly increasing. Blank lines and `#` comments are
 /// ignored, mirroring `data/csv`. Keys are parsed as exact unsigned 64-bit
 /// integers (never through double, which rounds above 2^53); a key that
-/// overflows uint64 is a typed `kInvalidArgument`.
+/// overflows uint64 is a typed `kInvalidArgument`. Counts are written and
+/// read exactly, bit for bit (see common/csv_text.h).
 
 #include <cstdint>
 #include <string>

@@ -106,7 +106,7 @@ Result<double> SparseHistogram::RangeSum(std::uint64_t begin,
 
 std::uint64_t FingerprintSparseHistogram(const SparseHistogram& histogram) {
   // FNV-1a over the domain size, then each (key, count-bit-pattern) pair —
-  // the same construction as serve::FingerprintHistogram, extended with the
+  // the same construction as FingerprintHistogram, extended with the
   // key stream so permuting counts across keys changes the fingerprint.
   std::uint64_t hash = 1469598103934665603ULL;
   const auto mix = [&hash](const void* data, std::size_t size) {

@@ -131,7 +131,7 @@ class SparseHistogram {
 
 /// 64-bit FNV-1a fingerprint over the domain size, keys, and count bit
 /// patterns. Fills the same role for sparse datasets as
-/// `serve::FingerprintHistogram` does for dense ones: journal records carry
+/// `FingerprintHistogram` does for dense ones: journal records carry
 /// it so `ReleaseServer::Recover` can refuse replays against a different
 /// dataset.
 std::uint64_t FingerprintSparseHistogram(const SparseHistogram& histogram);

@@ -154,8 +154,9 @@ TEST(PrivacyAuditTest, GroupingSmoothing) {
 class OverconfidentLaplace final : public HistogramPublisher {
  public:
   std::string name() const override { return "broken"; }
-  Result<Histogram> Publish(const Histogram& histogram, double epsilon,
-                            Rng& rng) const override {
+  Result<Histogram> PublishPrepared(const Histogram& histogram,
+                                    const PreparedTruth* /*prepared*/,
+                                    double epsilon, Rng& rng) const override {
     auto inner = PublisherRegistry::Make("dwork");
     // Spends 4x the granted budget: 4*eps-DP, not eps-DP.
     return inner.value()->Publish(histogram, 4.0 * epsilon, rng);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dphist/obs/obs.h"
 #include "dphist/random/rng.h"
 
 namespace dphist {
@@ -61,6 +62,38 @@ TEST(RegistryTest, MakeAllReturnsWorkingPublishers) {
     ASSERT_TRUE(out.ok()) << publisher->name();
     EXPECT_EQ(out.value().size(), truth.size()) << publisher->name();
   }
+}
+
+TEST(RegistryTest, StagesComposeToPublishForEveryBuiltin) {
+  // Only StructureFirst has a data-only stage; every other publisher's
+  // Prepare returns null. Either way the decorator forwards both stages,
+  // and Publish is exactly Prepare then PublishPrepared.
+  obs::Registry::Global().Reset();
+  obs::Registry::Global().set_enabled(true);
+  const Histogram truth({10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0});
+  for (const std::string& name : PublisherRegistry::BuiltinNames()) {
+    auto made = PublisherRegistry::Make(name);
+    ASSERT_TRUE(made.ok()) << name;
+    auto prepared = made.value()->Prepare(truth);
+    ASSERT_TRUE(prepared.ok()) << name;
+    EXPECT_EQ(prepared.value() != nullptr, name == "structure_first") << name;
+    Rng staged_rng(4);
+    Rng scratch_rng(4);
+    auto staged = made.value()->PublishPrepared(truth, prepared.value().get(),
+                                                1.0, staged_rng);
+    auto scratch = made.value()->Publish(truth, 1.0, scratch_rng);
+    ASSERT_TRUE(staged.ok()) << name;
+    ASSERT_TRUE(scratch.ok()) << name;
+    EXPECT_EQ(staged.value().counts(), scratch.value().counts()) << name;
+    // Two releases, two runs: Prepare is not a run.
+    EXPECT_EQ(obs::Registry::Global()
+                  .GetCounter("publisher/" + name + "/runs")
+                  .value(),
+              2u)
+        << name;
+  }
+  obs::Registry::Global().set_enabled(false);
+  obs::Registry::Global().Reset();
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 // contract (budget exhausted -> newest cached release, flagged stale).
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include "dphist/query/workload.h"
 #include "dphist/random/rng.h"
 #include "dphist/serve/budget_ledger.h"
+#include "dphist/serve/journal.h"
 #include "dphist/serve/release_cache.h"
 #include "dphist/serve/release_server.h"
 
@@ -389,6 +394,142 @@ TEST(ReleaseServerTest, ChargesOncePerReleaseKey) {
   ASSERT_TRUE(server.GetRelease({"dwork", 0.3, 6}).ok());
   EXPECT_EQ(server.ledger().charge_count(), 2u);
   EXPECT_DOUBLE_EQ(server.ledger().spent_epsilon(), 0.6);
+}
+
+// Every count's bits, so a -0.0 for a 0.0 counts as a change.
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
+  return bits;
+}
+
+// StructureFirst's release of `truth` published from scratch, through the
+// unprepared Publish.
+std::vector<std::uint64_t> DirectStructureFirst(const Histogram& truth,
+                                                double epsilon,
+                                                std::uint64_t seed) {
+  auto publisher = PublisherRegistry::Make("structure_first");
+  Rng rng(seed);
+  auto released = publisher.value()->Publish(truth, epsilon, rng);
+  EXPECT_TRUE(released.ok()) << released.status().ToString();
+  return released.ok() ? Bits(released.value().counts())
+                       : std::vector<std::uint64_t>();
+}
+
+TEST(ReleaseServerPrepareTest, RacingFirstPublishesBuildTheTableOnce) {
+  // Four threads publish four fresh StructureFirst keys of one dataset at
+  // once. The first to reach the prepared slot builds the cost table; the
+  // other three wait for it and reuse it.
+  obs::Registry::Global().Reset();
+  obs::Registry::Global().set_enabled(true);
+  const Histogram truth = MakeNetTrace(512, 3).histogram;
+  ReleaseServer server(truth, 10.0);
+  obs::Counter& builds =
+      obs::Registry::Global().GetCounter("serve/prepare/builds");
+  obs::Counter& reuses =
+      obs::Registry::Global().GetCounter("serve/prepare/reuses");
+  obs::Counter& tables =
+      obs::Registry::Global().GetCounter("interval_cost/builds");
+  constexpr std::size_t kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<Result<std::shared_ptr<const CachedRelease>>> released(
+      kThreads, Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      released[t] = server.GetRelease({"structure_first", 0.5, 100 + t});
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(builds.value(), 1u);
+  EXPECT_EQ(reuses.value(), kThreads - 1);
+  EXPECT_EQ(tables.value(), 1u);
+  EXPECT_EQ(server.ledger().charge_count(), kThreads);
+  EXPECT_DOUBLE_EQ(server.ledger().spent_epsilon(), 2.0);
+  obs::Registry::Global().set_enabled(false);
+  obs::Registry::Global().Reset();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(released[t].ok()) << released[t].status().ToString();
+    EXPECT_EQ(Bits(released[t].value()->histogram().counts()),
+              DirectStructureFirst(truth, 0.5, 100 + t))
+        << "seed " << 100 + t;
+  }
+}
+
+TEST(ReleaseServerPrepareTest, OneStagePerDatasetAndPublisher) {
+  obs::Registry::Global().Reset();
+  obs::Registry::Global().set_enabled(true);
+  ReleaseServer server;
+  const TenantKey a{"acme", "trace"};
+  const TenantKey b{"acme", "logs"};
+  ASSERT_TRUE(server.AddDataset(a, MakeNetTrace(128, 1).histogram, 10.0).ok());
+  ASSERT_TRUE(
+      server.AddDataset(b, MakeSearchLogs(128, 1).histogram, 10.0).ok());
+  for (std::uint64_t seed : {1, 2}) {
+    for (const TenantKey& key : {a, b}) {
+      for (const char* publisher : {"structure_first", "noise_first"}) {
+        ASSERT_TRUE(server.GetRelease(key, {publisher, 0.1, seed}).ok());
+      }
+    }
+  }
+  // The first seed builds one stage per (dataset, publisher); the second
+  // reuses each. A publisher with nothing to prepare still gets its slot.
+  EXPECT_EQ(
+      obs::Registry::Global().GetCounter("serve/prepare/builds").value(),
+      4u);
+  EXPECT_EQ(
+      obs::Registry::Global().GetCounter("serve/prepare/reuses").value(),
+      4u);
+  obs::Registry::Global().set_enabled(false);
+  obs::Registry::Global().Reset();
+}
+
+TEST(ReleaseServerPrepareTest, LedgerAndJournalRecordsAreUnchanged) {
+  // A prepared stage is never charged and never journaled: the journal
+  // holds exactly the records of a server that publishes every release
+  // from scratch, a charge then its publication per fresh key, and each
+  // publication carries the bits of the unprepared Publish.
+  const std::string path = ::testing::TempDir() + "/serve_prepare_test.jnl";
+  std::remove(path.c_str());
+  const Histogram truth = MakeSearchLogs(256, 8).histogram;
+  const std::vector<std::uint64_t> requested = {7, 8, 7, 9, 8};
+  const std::vector<std::uint64_t> fresh = {7, 8, 9};
+  {
+    auto journal = Journal::Open(path);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    ReleaseServerOptions options;
+    options.journal = journal.value().get();
+    ReleaseServer server(truth, 10.0, options);
+    for (std::uint64_t seed : requested) {
+      ASSERT_TRUE(server.GetRelease({"structure_first", 0.25, seed}).ok());
+    }
+    EXPECT_EQ(server.ledger().charge_count(), fresh.size());
+    EXPECT_DOUBLE_EQ(server.ledger().spent_epsilon(), 0.75);
+  }
+  auto replayed = ReplayJournalFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  const std::vector<JournalRecord>& records = replayed.value().records;
+  ASSERT_EQ(records.size(), 2 * fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    const JournalRecord& charge = records[2 * i];
+    const JournalRecord& publish = records[2 * i + 1];
+    EXPECT_EQ(charge.type, JournalRecord::Type::kCharge);
+    EXPECT_EQ(charge.key, DefaultTenantKey());
+    EXPECT_EQ(charge.epsilon, 0.25);
+    EXPECT_EQ(charge.label,
+              "structure_first:seed=" + std::to_string(fresh[i]));
+    EXPECT_EQ(publish.type, JournalRecord::Type::kPublish);
+    EXPECT_EQ(publish.fingerprint, FingerprintHistogram(truth));
+    EXPECT_EQ(publish.publisher, "structure_first");
+    EXPECT_EQ(publish.epsilon, 0.25);
+    EXPECT_EQ(publish.seed, fresh[i]);
+    EXPECT_EQ(Bits(publish.counts),
+              DirectStructureFirst(truth, 0.25, fresh[i]));
+  }
 }
 
 }  // namespace

@@ -1,10 +1,20 @@
 #include "dphist/algorithms/structure_first.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <future>
+#include <limits>
+#include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dphist/common/thread_pool.h"
+#include "dphist/data/generators.h"
+#include "dphist/obs/obs.h"
 #include "dphist/random/rng.h"
 
 namespace dphist {
@@ -299,6 +309,212 @@ TEST(StructureFirstTest, MaxBucketsConsideredCapsAdaptiveK) {
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(details.num_buckets <= 4u || details.num_buckets == 64u)
       << details.num_buckets;
+}
+
+// Every count's bits, so a -0.0 for a 0.0 counts as a change.
+std::vector<std::uint64_t> Bits(const Result<Histogram>& released) {
+  EXPECT_TRUE(released.ok()) << released.status().ToString();
+  if (!released.ok()) {
+    return {};
+  }
+  const std::vector<double>& counts = released.value().counts();
+  std::vector<std::uint64_t> bits(counts.size());
+  std::memcpy(bits.data(), counts.data(), counts.size() * sizeof(double));
+  return bits;
+}
+
+// Runs `body` on a worker of the global pool and returns its result. Every
+// parallel loop nested in it runs inline there, so the cost-table build and
+// the v-opt solve run at width 1 (a one-thread global pool runs `body` on
+// the caller, at width 1 as well).
+template <typename Body>
+auto OnGlobalWorker(Body body) -> decltype(body()) {
+  std::promise<decltype(body())> result;
+  ThreadPool::Global().Submit([&] { result.set_value(body()); });
+  return result.get_future().get();
+}
+
+// The bitwise battery of the prepared stage: one Prepare per truth, built
+// at width 1, serves every (epsilon, seed) release at width 1 and at the
+// global pool's width (DPHIST_THREADS, else the hardware's; the vopt label
+// runs at 1 and 4 in CI's sanitizer job), and each release equals the
+// from-scratch Publish bit for bit. Parameters: dataset, cost kind, and
+// domain size. n = 512 keeps grid step 1; n = 2100 takes the automatic
+// grid step 3.
+class StructureFirstPreparedBattery
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, std::string, std::size_t>> {};
+
+TEST_P(StructureFirstPreparedBattery, PreparedEqualsUnpreparedBitForBit) {
+  const auto& [dataset, cost, n] = GetParam();
+  const CostKind cost_kind =
+      cost == "squared" ? CostKind::kSquared : CostKind::kAbsolute;
+  const Histogram truth = dataset == "nettrace" ? MakeNetTrace(n, 5).histogram
+                          : dataset == "searchlogs"
+                              ? MakeSearchLogs(n, 5).histogram
+                              : MakeSocialNetwork(n, 5).histogram;
+  for (const std::size_t num_buckets : {std::size_t{0}, std::size_t{16}}) {
+    StructureFirst::Options options;
+    options.cost_kind = cost_kind;
+    options.num_buckets = num_buckets;
+    const StructureFirst algo(options);
+    auto prepared = OnGlobalWorker([&] { return algo.Prepare(truth); });
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    const PreparedTruth* stage = prepared.value().get();
+    const auto* costs = dynamic_cast<const StructureFirst::Prepared*>(stage);
+    ASSERT_NE(costs, nullptr);
+    EXPECT_EQ(costs->costs().grid_step(), n > 2048 ? 3u : 1u);
+    for (const double epsilon : {0.01, 0.1, 1.0}) {
+      for (const std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE("k=" + std::to_string(num_buckets) +
+                     " eps=" + std::to_string(epsilon) +
+                     " seed=" + std::to_string(seed));
+        Rng scratch_rng(seed);
+        const std::vector<std::uint64_t> scratch =
+            Bits(algo.Publish(truth, epsilon, scratch_rng));
+        Rng wide_rng(seed);
+        EXPECT_EQ(Bits(algo.PublishPrepared(truth, stage, epsilon, wide_rng)),
+                  scratch);
+        EXPECT_EQ(Bits(OnGlobalWorker([&] {
+                    Rng narrow_rng(seed);
+                    return algo.PublishPrepared(truth, stage, epsilon,
+                                                narrow_rng);
+                  })),
+                  scratch);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DatasetsCostsGrids, StructureFirstPreparedBattery,
+    ::testing::Combine(::testing::Values("nettrace", "searchlogs", "social"),
+                       ::testing::Values("absolute", "squared"),
+                       ::testing::Values(std::size_t{512}, std::size_t{2100})),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param) + "_n" +
+             std::to_string(std::get<2>(info.param));
+    });
+
+TEST(StructureFirstPrepareTest, RefusesAStageBuiltForOtherInputs) {
+  const Histogram truth = Plateaus(96);
+  const StructureFirst::Options absolute;
+  StructureFirst::Options squared;
+  squared.cost_kind = CostKind::kSquared;
+  auto prepared = StructureFirst(absolute).Prepare(truth);
+  auto squared_prepared = StructureFirst(squared).Prepare(truth);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(squared_prepared.ok());
+  auto code = [](const StructureFirst& publisher, const Histogram& histogram,
+                 const PreparedTruth* stage) {
+    Rng rng(1);
+    return publisher.PublishPrepared(histogram, stage, 1.0, rng)
+        .status()
+        .code();
+  };
+  // Another domain size, cost kind, grid step or (squared) count cap.
+  EXPECT_EQ(code(StructureFirst(absolute), Plateaus(97),
+                 prepared.value().get()),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(StructureFirst(squared), truth, prepared.value().get()),
+            StatusCode::kInvalidArgument);
+  StructureFirst::Options coarse;
+  coarse.grid_step = 2;
+  EXPECT_EQ(code(StructureFirst(coarse), truth, prepared.value().get()),
+            StatusCode::kInvalidArgument);
+  StructureFirst::Options capped = squared;
+  capped.count_cap = 50.0;
+  EXPECT_EQ(code(StructureFirst(capped), truth, squared_prepared.value().get()),
+            StatusCode::kInvalidArgument);
+  // Other counts of the same size: the structure would be scored on data
+  // no ledger charged.
+  Histogram other = truth;
+  other.Add(truth.size() / 2, 1.0);
+  EXPECT_EQ(code(StructureFirst(absolute), other, prepared.value().get()),
+            StatusCode::kInvalidArgument);
+  Histogram negative_zero = Histogram::Zeros(8);
+  negative_zero.set_count(3, -0.0);
+  auto zeros_prepared = StructureFirst(absolute).Prepare(Histogram::Zeros(8));
+  ASSERT_TRUE(zeros_prepared.ok());
+  EXPECT_EQ(code(StructureFirst(absolute), negative_zero,
+                 zeros_prepared.value().get()),
+            StatusCode::kInvalidArgument);
+  // No stage at all, or another publisher's.
+  EXPECT_EQ(code(StructureFirst(absolute), truth, nullptr),
+            StatusCode::kInvalidArgument);
+  struct Foreign final : PreparedTruth {};
+  const Foreign foreign;
+  EXPECT_EQ(code(StructureFirst(absolute), truth, &foreign),
+            StatusCode::kInvalidArgument);
+
+  // What the table was not built from may differ: the count cap under the
+  // absolute cost, an explicit grid step equal to the automatic one, and
+  // every option of the randomized stage.
+  StructureFirst::Options other_stage;
+  other_stage.count_cap = 50.0;
+  other_stage.grid_step = 1;
+  other_stage.num_buckets = 4;
+  other_stage.structure_budget_ratio = 0.3;
+  const StructureFirst publisher(other_stage);
+  Rng prepared_rng(3);
+  Rng scratch_rng(3);
+  EXPECT_EQ(Bits(publisher.PublishPrepared(truth, prepared.value().get(), 1.0,
+                                           prepared_rng)),
+            Bits(publisher.Publish(truth, 1.0, scratch_rng)));
+}
+
+TEST(StructureFirstPrepareTest, PrepareRejectsWhatPublishRejects) {
+  EXPECT_EQ(StructureFirst().Prepare(Histogram()).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(StructureFirst()
+                .Prepare(Histogram(
+                    {1.0, std::numeric_limits<double>::quiet_NaN()}))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  StructureFirst::Options bad_ratio;
+  bad_ratio.structure_budget_ratio = 1.0;
+  EXPECT_EQ(
+      StructureFirst(bad_ratio).Prepare(Histogram({1.0, 2.0})).status().code(),
+      StatusCode::kInvalidArgument);
+}
+
+TEST(StructureFirstPrepareTest, BadEpsilonFailsBeforeTheTableBuild) {
+  obs::Registry::Global().Reset();
+  obs::Registry::Global().set_enabled(true);
+  const obs::Counter& builds =
+      obs::Registry::Global().GetCounter("interval_cost/builds");
+  const Histogram truth = Plateaus(60);
+  const StructureFirst algo;
+  Rng rng(1);
+  EXPECT_EQ(algo.Publish(truth, 0.0, rng).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(algo.PublishWithDetails(truth, -1.0, rng, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(builds.value(), 0u);
+  EXPECT_TRUE(algo.Publish(truth, 1.0, rng).ok());
+  EXPECT_EQ(builds.value(), 1u);
+  obs::Registry::Global().set_enabled(false);
+  obs::Registry::Global().Reset();
+}
+
+TEST(StructureFirstPrepareTest, DetailsMatchAcrossStages) {
+  const Histogram truth = Plateaus(60);
+  const StructureFirst algo;
+  auto prepared = algo.Prepare(truth);
+  ASSERT_TRUE(prepared.ok());
+  StructureFirst::Details scratch;
+  StructureFirst::Details reused;
+  Rng scratch_rng(8);
+  Rng reused_rng(8);
+  ASSERT_TRUE(algo.PublishWithDetails(truth, 1.0, scratch_rng, &scratch).ok());
+  ASSERT_TRUE(algo.PublishWithDetails(truth, prepared.value().get(), 1.0,
+                                      reused_rng, &reused)
+                  .ok());
+  EXPECT_EQ(reused.cuts, scratch.cuts);
+  EXPECT_EQ(reused.num_buckets, scratch.num_buckets);
+  EXPECT_EQ(reused.structure_epsilon, scratch.structure_epsilon);
+  EXPECT_EQ(reused.count_epsilon, scratch.count_epsilon);
 }
 
 }  // namespace

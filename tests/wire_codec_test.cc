@@ -403,6 +403,49 @@ TEST(WireCodecTest, JsonGoldenFilesMatchByteForByte) {
             ReadTestData("wire_sparse_histogram_v1.json"));
 }
 
+TEST(WireCodecTest, JsonGoldenFilesDecodeAndReencodeByteForByte) {
+  // Bodies the server itself wrote decode, null included, and encode back
+  // to the same bytes. The three non-finite golden values (NaN, +inf,
+  // -inf) all come back as NaN: JSON carries no infinity.
+  const auto expect_values = [](const std::vector<double>& decoded,
+                                const std::vector<double>& written) {
+    ASSERT_EQ(decoded.size(), written.size());
+    for (std::size_t i = 0; i < written.size(); ++i) {
+      if (std::isfinite(written[i])) {
+        EXPECT_EQ(std::signbit(decoded[i]), std::signbit(written[i])) << i;
+        EXPECT_EQ(decoded[i], written[i]) << i;
+      } else {
+        EXPECT_TRUE(std::isnan(decoded[i])) << i;
+      }
+    }
+  };
+  const std::string answer_json = ReadTestData("wire_batch_answer_v1.json");
+  auto answer = DecodeJson(answer_json);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ASSERT_EQ(answer.value().type, WireType::kBatchAnswer);
+  EXPECT_EQ(EncodeBatchAnswerJson(answer.value().batch_answer), answer_json);
+  expect_values(answer.value().batch_answer.answers, GoldenValues());
+
+  const std::string histogram_json = ReadTestData("wire_histogram_v1.json");
+  auto histogram = DecodeJson(histogram_json);
+  ASSERT_TRUE(histogram.ok()) << histogram.status().ToString();
+  ASSERT_EQ(histogram.value().type, WireType::kHistogram);
+  EXPECT_EQ(EncodeHistogramJson(histogram.value().histogram), histogram_json);
+  expect_values(histogram.value().histogram.counts, GoldenValues());
+
+  const std::string sparse_json =
+      ReadTestData("wire_sparse_histogram_v1.json");
+  auto sparse = DecodeJson(sparse_json);
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  ASSERT_EQ(sparse.value().type, WireType::kSparseHistogram);
+  EXPECT_EQ(EncodeSparseHistogramJson(sparse.value().sparse_histogram),
+            sparse_json);
+  EXPECT_EQ(sparse.value().sparse_histogram.keys,
+            GoldenSparseHistogram().keys);
+  expect_values(sparse.value().sparse_histogram.counts,
+                GoldenSparseHistogram().counts);
+}
+
 TEST(WireCodecTest, JsonKeysWithEscapesRoundTrip) {
   // The golden key's escapes survive a decode; finite answers round-trip.
   WireBatchAnswer answer = GoldenBatchAnswer();
