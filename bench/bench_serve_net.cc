@@ -1,24 +1,20 @@
 // Network front-end benchmark: end-to-end loopback latency and throughput
 // of the HTTP/1.1 query server at 1/4/16/64 concurrent keep-alive
 // clients, plus a JSON-codec row to price the fallback against the binary
-// wire format and an `encoded_cache=off` row to price the serve-path
-// overhaul (sealed snapshots + inline fast lane + pre-encoded frames +
-// writev) against the dispatch-everything path it replaced. The cache is
-// warmed first, so every request is a cached-release answer — the bench
-// measures the wire path (framing, parse, fast lane or dispatch, codec)
-// rather than the publisher.
+// wire format and a pipelined row to measure server-side capacity. The
+// cache is warmed first, so every request is a cached-release answer on
+// the inline fast lane — the bench measures the wire path (framing,
+// parse, fast lane, codec) rather than the publisher.
 //
 // Expected shape: single-client binary QPS well above 10k on loopback
 // (one round trip is a frame decode plus a handful of prefix-sum
 // subtractions); p99 a small multiple of p50; JSON slower than binary by
-// the number-formatting cost; the fast lane (encoded_cache=on) several
-// times faster than the dispatch path at every client count; QPS rising
-// with client count until the single event loop saturates. qps is
-// reported for the human table and the JSON rows but excluded from the
-// regression gate (IGNORED_FIELDS) — absolute throughput is a machine
-// property, the gated *_ms latencies already catch regressions.
-// `encoded_cache` is an ID field: on- and off-rows gate against their own
-// baselines.
+// the number-formatting cost; QPS rising with client count until the
+// single event loop saturates, and the pipelined row well above every
+// ping-pong row. qps is reported for the human table and the JSON rows
+// but excluded from the regression gate (IGNORED_FIELDS) — absolute
+// throughput is a machine property, the gated *_ms latencies already
+// catch regressions.
 
 #include <algorithm>
 #include <chrono>
@@ -63,27 +59,13 @@ int main() {
               dataset.name.c_str(), n, kBatchSize, reps,
               dphist_bench::Threads());
 
-  // Two servers over independent release stores: the fast-lane
-  // configuration under measurement and the pre-overhaul dispatch path as
-  // the A/B control. Both serve the same deterministic release.
   dphist::serve::ReleaseServer server(dataset.histogram,
                                       /*total_epsilon=*/1.0e9);
-  dphist::serve::ReleaseServer server_uncached(dataset.histogram,
-                                               /*total_epsilon=*/1.0e9);
-  dphist::net::NetServerOptions cached_options;
-  cached_options.encoded_cache = true;
-  dphist::net::NetServerOptions uncached_options;
-  uncached_options.encoded_cache = false;
-  dphist::net::NetServer net_server(&server, cached_options);
-  dphist::net::NetServer net_server_uncached(&server_uncached,
-                                             uncached_options);
-  for (dphist::net::NetServer* srv :
-       {&net_server, &net_server_uncached}) {
-    const dphist::Status started = srv->Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "%s\n", started.ToString().c_str());
-      return 1;
-    }
+  dphist::net::NetServer net_server(&server);
+  const dphist::Status started = net_server.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "%s\n", started.ToString().c_str());
+    return 1;
   }
 
   dphist::Rng workload_rng(21);
@@ -99,46 +81,31 @@ int main() {
   query.request.seed = 7;
   query.queries = queries.value();
 
-  // Publish once on each store so the measured loop is pure cached
-  // serving.
-  for (dphist::net::NetServer* srv :
-       {&net_server, &net_server_uncached}) {
-    dphist::net::NetClient warm;
-    if (!warm.Connect("127.0.0.1", srv->port()).ok() ||
-        !warm.Query(query, /*binary=*/true).ok()) {
-      std::fprintf(stderr, "warm-up failed\n");
-      return 1;
-    }
+  // Publish once so the measured loop is pure cached serving.
+  dphist::net::NetClient warm;
+  if (!warm.Connect("127.0.0.1", net_server.port()).ok() ||
+      !warm.Query(query, /*binary=*/true).ok()) {
+    std::fprintf(stderr, "warm-up failed\n");
+    return 1;
   }
 
-  dphist::TablePrinter table({"clients", "codec", "encoded_cache",
-                              "pipeline", "requests", "p50_ms", "p99_ms",
-                              "qps"});
+  dphist::TablePrinter table({"clients", "codec", "pipeline", "requests",
+                              "p50_ms", "p99_ms", "qps"});
   struct Cell {
     std::size_t clients;
     bool binary;
-    bool encoded_cache;
     /// Requests in flight per connection: 0 = synchronous ping-pong
     /// (measures round-trip latency), >0 = HTTP/1.1 pipelined bursts of
     /// that depth (amortizes the loopback syscall floor and measures
-    /// server-side capacity — the fast-lane vs dispatch-path comparison
-    /// only shows up here, since a lone in-flight request is bounded by
-    /// kernel wakeup latency either way).
+    /// server-side capacity, since a lone in-flight request is bounded by
+    /// kernel wakeup latency).
     std::size_t pipeline;
   };
   constexpr std::size_t kPipelineDepth = 32;
-  const Cell cells[] = {{1, true, true, 0},
-                        {4, true, true, 0},
-                        {16, true, true, 0},
-                        {64, true, true, 0},
-                        {1, false, true, 0},
-                        {1, true, false, 0},
-                        {4, true, false, 0},
-                        {4, true, true, kPipelineDepth},
-                        {4, true, false, kPipelineDepth}};
+  const Cell cells[] = {{1, true, 0},  {4, true, 0},
+                        {16, true, 0}, {64, true, 0},
+                        {1, false, 0}, {4, true, kPipelineDepth}};
   for (const Cell& cell : cells) {
-    dphist::net::NetServer& target =
-        cell.encoded_cache ? net_server : net_server_uncached;
     std::vector<std::vector<double>> latencies(cell.clients);
     std::vector<std::thread> clients;
     clients.reserve(cell.clients);
@@ -146,7 +113,7 @@ int main() {
     for (std::size_t c = 0; c < cell.clients; ++c) {
       clients.emplace_back([&, c]() {
         dphist::net::NetClient client;
-        if (!client.Connect("127.0.0.1", target.port()).ok()) {
+        if (!client.Connect("127.0.0.1", net_server.port()).ok()) {
           std::fprintf(stderr, "connect failed\n");
           std::abort();
         }
@@ -209,10 +176,9 @@ int main() {
     const double qps =
         static_cast<double>(merged.size()) / (elapsed_ms / 1000.0);
     const char* codec = cell.binary ? "binary" : "json";
-    const char* encoded_cache = cell.encoded_cache ? "on" : "off";
     const char* mode =
         cell.pipeline > 0 ? "loopback_pipelined" : "loopback_latency";
-    table.AddRow({std::to_string(cell.clients), codec, encoded_cache,
+    table.AddRow({std::to_string(cell.clients), codec,
                   std::to_string(cell.pipeline),
                   std::to_string(merged.size()),
                   dphist::TablePrinter::FormatDouble(p50, 4),
@@ -222,7 +188,6 @@ int main() {
                     .Str("dataset", dataset.name)
                     .Str("mode", mode)
                     .Str("codec", codec)
-                    .Str("encoded_cache", encoded_cache)
                     .Int("pipeline", cell.pipeline)
                     .Int("clients", cell.clients)
                     .Int("n", n)
@@ -234,7 +199,6 @@ int main() {
   }
   table.Print();
   net_server.Stop();
-  net_server_uncached.Stop();
   json.Finish();
   return 0;
 }

@@ -1,6 +1,8 @@
 #include "dphist/common/math_util.h"
 
 #include <bit>
+#include <cmath>
+#include <string>
 
 namespace dphist {
 
@@ -53,6 +55,16 @@ double Clamp(double v, double lo, double hi) {
     return hi;
   }
   return v;
+}
+
+Status CheckFiniteCount(double count, const char* unit, std::uint64_t index) {
+  if (std::isfinite(count)) {
+    return Status::Ok();
+  }
+  const char* text = std::isnan(count) ? "nan" : count > 0.0 ? "+inf" : "-inf";
+  return Status::InvalidArgument("count of " + std::string(unit) + " " +
+                                 std::to_string(index) + " is " + text +
+                                 "; counts must be finite");
 }
 
 std::vector<double> PrefixSums(const std::vector<double>& values) {

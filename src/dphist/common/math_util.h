@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "dphist/common/status.h"
+
 namespace dphist {
 
 /// \brief Numerical helpers shared across dphist.
@@ -30,6 +32,12 @@ std::uint32_t CeilLogBase(std::size_t n, std::size_t base);
 
 /// Clamps `v` into [lo, hi]. Requires lo <= hi.
 double Clamp(double v, double lo, double hi);
+
+/// OK when `count` is finite; otherwise the kInvalidArgument that every
+/// finite-count check reports, naming the count's place: "count of
+/// <unit> <index> is nan; counts must be finite" (unit "bin" for dense
+/// histograms, "key" for sparse ones).
+Status CheckFiniteCount(double count, const char* unit, std::uint64_t index);
 
 /// \brief Compensated (Kahan) accumulator for summing many doubles.
 class KahanSum {

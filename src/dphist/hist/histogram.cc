@@ -1,8 +1,6 @@
 #include "dphist/hist/histogram.h"
 
-#include <cmath>
 #include <cstring>
-#include <string>
 #include <utility>
 
 #include "dphist/common/math_util.h"
@@ -117,14 +115,7 @@ void Histogram::EnsurePrefix() const {
 
 Status CheckFiniteCounts(const std::vector<double>& counts) {
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (!std::isfinite(counts[i])) {
-      const char* text = std::isnan(counts[i]) ? "nan"
-                         : counts[i] > 0.0     ? "+inf"
-                                               : "-inf";
-      return Status::InvalidArgument("count of bin " + std::to_string(i) +
-                                     " is " + text +
-                                     "; counts must be finite");
-    }
+    DPHIST_RETURN_IF_ERROR(CheckFiniteCount(counts[i], "bin", i));
   }
   return Status::Ok();
 }

@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "dphist/common/env.h"
 #include "dphist/net/http.h"
 #include "dphist/net/wire_codec.h"
 #include "dphist/obs/export.h"
@@ -171,7 +170,7 @@ Payload BuildTextResponse(int http_status, std::string body) {
 }
 
 // The /v1/release response body for one sealed release, in one codec.
-std::string EncodeReleaseBody(const serve::CachedRelease& release,
+std::string EncodeReleaseBody(const serve::SealedRelease& release,
                               bool binary) {
   if (release.is_sparse()) {
     WireSparseHistogram sparse;
@@ -193,15 +192,10 @@ std::string EncodeReleaseBody(const serve::CachedRelease& release,
   return binary ? EncodeHistogram(histogram) : EncodeHistogramJson(histogram);
 }
 
-// The release's encoded frame: memoized on the sealed release when the
-// frame cache is on (first caller encodes, everyone after shares the
-// bytes), freshly encoded otherwise.
+// The release's encoded frame, memoized on the sealed release: the first
+// caller encodes, everyone after shares the bytes.
 std::shared_ptr<const std::string> ReleaseFrame(
-    const serve::CachedRelease& release, bool binary, bool use_cache) {
-  if (!use_cache) {
-    return std::make_shared<const std::string>(
-        EncodeReleaseBody(release, binary));
-  }
+    const serve::SealedRelease& release, bool binary) {
   const auto codec = binary ? serve::SealedRelease::FrameCodec::kBinary
                             : serve::SealedRelease::FrameCodec::kJson;
   return release.EncodedFrame(
@@ -414,9 +408,9 @@ struct NetServer::Impl {
   }
 
   // One /v1/release request: publish (or hit the cache) and ship the full
-  // released histogram — from the release's encoded frame when the frame
-  // cache is on, so the dispatched path both seeds and reuses the same
-  // memo as the inline fast lane.
+  // released histogram from the release's encoded frame, so the
+  // dispatched path both seeds and reuses the same memo as the inline
+  // fast lane.
   void RunRelease(PendingQuery pending) {
     if (options.handler_hook) {
       options.handler_hook();
@@ -432,9 +426,7 @@ struct NetServer::Impl {
     } else {
       response = BuildSharedResponse(
           200, StatusCode::kOk, pending.binary,
-          ReleaseFrame(*release.value(), pending.binary,
-                       options.encoded_cache),
-          pending.close);
+          ReleaseFrame(*release.value(), pending.binary), pending.close);
     }
     CompleteRequest(pending, std::move(response));
     // Same ordering contract as RunBatch: pipe write before the decrement
@@ -569,10 +561,9 @@ struct NetServer::Impl {
     // view, answered into a reused vector and written straight into the
     // connection's output buffer, and it never forks onto the pool,
     // whatever the batch size, since every connection waits while the
-    // loop does. Disabled by `encoded_cache = false` (A/B benching) and
-    // by a handler_hook (tests that must observe every request on a
-    // worker).
-    if (options.encoded_cache && !options.handler_hook) {
+    // loop does. Disabled by a handler_hook (tests that must observe
+    // every request on a worker).
+    if (!options.handler_hook) {
       const auto start = std::chrono::steady_clock::now();
       bool answered = false;
       if (target == "/v1/query") {
@@ -595,10 +586,9 @@ struct NetServer::Impl {
       } else {  // /v1/release
         auto release = server->TryGetCached(query_key, query_request);
         if (release != nullptr) {
-          Respond(conn, BuildSharedResponse(
-                            200, StatusCode::kOk, binary,
-                            ReleaseFrame(*release, binary, /*use_cache=*/true),
-                            close));
+          Respond(conn, BuildSharedResponse(200, StatusCode::kOk, binary,
+                                            ReleaseFrame(*release, binary),
+                                            close));
           answered = true;
         }
       }
@@ -966,15 +956,6 @@ NetServer::NetServer(serve::ReleaseServer* release_server,
                      NetServerOptions options)
     : impl_(new Impl), release_server_(release_server),
       options_(std::move(options)) {
-  // Deployment-time A/B switch; anything other than the recognized
-  // spellings leaves the constructed option alone.
-  if (const auto env = GetEnv("DPHIST_ENCODED_CACHE")) {
-    if (*env == "0" || *env == "off" || *env == "false") {
-      options_.encoded_cache = false;
-    } else if (*env == "1" || *env == "on" || *env == "true") {
-      options_.encoded_cache = true;
-    }
-  }
   impl_->server = release_server_;
   impl_->options = options_;
   impl_->pool = options_.pool != nullptr ? options_.pool

@@ -32,20 +32,12 @@ struct NetServerOptions {
   std::size_t max_inflight = 64;
   /// Maximum simultaneous connections; accept() pauses at the bound.
   std::size_t max_connections = 256;
-  /// Serve-path fast lane: answer requests whose release is already sealed
-  /// in the cache inline on the event loop (no worker handoff, no
-  /// admission charge — a sealed release cannot queue behind a publisher),
-  /// and serve /v1/release from the release's pre-encoded frame as a
-  /// zero-copy scatter-gather write. Off = every request takes the
-  /// dispatch path and every response is freshly encoded (the pre-overhaul
-  /// behavior, kept for A/B benching). Overridable with
-  /// DPHIST_ENCODED_CACHE=0|off|false / 1|on|true at construction.
-  bool encoded_cache = true;
   /// Test seam: runs on the worker at the start of every dispatched
   /// request, before the serve-layer call. Lets tests hold workers inside
   /// handlers to saturate the admission queue deterministically. Setting
   /// it also disables the inline fast lane (every request must reach a
-  /// worker for the hook to see it).
+  /// worker for the hook to see it), which makes it the one way to force
+  /// the dispatched lane.
   std::function<void()> handler_hook;
 };
 
@@ -97,7 +89,7 @@ struct NetServerOptions {
 ///   GET  /statsz      obs registry snapshot, JSON lines
 ///   GET  /v1/meta     default-namespace domain size + fingerprint (JSON)
 ///
-/// Fast lane (when `encoded_cache` is on and no handler_hook is set): a
+/// Fast lane (whenever no handler_hook is set): a
 /// request whose release is already sealed in the cache is answered
 /// inline on the event loop — one counting cache lookup, O(1) prefix
 /// subtractions per query on the loop itself at any batch size (the loop

@@ -5,7 +5,7 @@
 namespace dphist {
 
 Status ValidateQueries(const std::vector<RangeQuery>& queries,
-                       std::size_t domain_size) {
+                       std::uint64_t domain_size) {
   // Policy: never clamp, never swap, never silently drop — an out-of-domain
   // or inverted query is a caller bug and must name the offender (same
   // fail-loudly contract as RankedFenwick's range checks).

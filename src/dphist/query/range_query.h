@@ -2,6 +2,7 @@
 #define DPHIST_QUERY_RANGE_QUERY_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dphist/common/parallel_defaults.h"
@@ -26,9 +27,11 @@ struct RangeQuery {
 };
 
 /// Validates that every query fits the domain [0, domain_size) and is
-/// non-empty.
+/// non-empty. The domain is 64-bit, so one rule serves dense histograms
+/// and sparse domains up to 2^63 alike: typed `kInvalidArgument` naming the
+/// offender.
 Status ValidateQueries(const std::vector<RangeQuery>& queries,
-                       std::size_t domain_size);
+                       std::uint64_t domain_size);
 
 /// Execution knobs for AnswerQueries.
 struct AnswerQueriesOptions {

@@ -1,31 +1,11 @@
 #include "dphist/query/sparse_query.h"
 
-#include <string>
-
 namespace dphist {
-
-Status ValidateSparseQueries(const std::vector<RangeQuery>& queries,
-                             std::uint64_t domain_size) {
-  // Same fail-loudly contract as the dense ValidateQueries: never clamp,
-  // never swap, never silently drop.
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const RangeQuery& q = queries[i];
-    if (q.begin >= q.end || static_cast<std::uint64_t>(q.end) > domain_size) {
-      return Status::InvalidArgument(
-          "range query " + std::to_string(i) + " [" +
-          std::to_string(q.begin) + ", " + std::to_string(q.end) +
-          ") is " + (q.begin >= q.end ? "empty or inverted" : "out of domain") +
-          " (domain size " + std::to_string(domain_size) + ")");
-    }
-  }
-  return Status::Ok();
-}
 
 Result<std::vector<double>> AnswerQueriesSparse(
     const sparse::SparseHistogram& histogram,
     const std::vector<RangeQuery>& queries) {
-  DPHIST_RETURN_IF_ERROR(
-      ValidateSparseQueries(queries, histogram.domain_size()));
+  DPHIST_RETURN_IF_ERROR(ValidateQueries(queries, histogram.domain_size()));
   std::vector<double> answers;
   answers.reserve(queries.size());
   for (const RangeQuery& q : queries) {

@@ -18,13 +18,8 @@
 
 namespace dphist {
 
-/// Validates `queries` against a 64-bit sparse domain: every query must be
-/// non-empty, non-inverted, and end within `domain_size`. Same rules as the
-/// dense `ValidateQueries`, typed `kInvalidArgument` naming the offender.
-Status ValidateSparseQueries(const std::vector<RangeQuery>& queries,
-                             std::uint64_t domain_size);
-
-/// Answers every query against `histogram` after validation.
+/// Answers every query against `histogram` after validation
+/// (`ValidateQueries` over the 64-bit sparse domain).
 Result<std::vector<double>> AnswerQueriesSparse(
     const sparse::SparseHistogram& histogram,
     const std::vector<RangeQuery>& queries);

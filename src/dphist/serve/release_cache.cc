@@ -94,34 +94,8 @@ ReleaseCache::ReleaseCache(ReleaseCacheOptions options)
   }
 }
 
-Result<std::shared_ptr<const CachedRelease>> ReleaseCache::GetOrPublish(
+Result<std::shared_ptr<const SealedRelease>> ReleaseCache::GetOrPublish(
     const ReleaseKey& key, const PublishFn& publish) {
-  return DoGetOrPublish(
-      key, [&key, &publish]() -> Result<std::shared_ptr<CachedRelease>> {
-        Result<Histogram> published = publish();
-        if (!published.ok()) {
-          return published.status();
-        }
-        return std::make_shared<CachedRelease>(key,
-                                               std::move(published).value());
-      });
-}
-
-Result<std::shared_ptr<const CachedRelease>> ReleaseCache::GetOrPublishSparse(
-    const ReleaseKey& key, const SparsePublishFn& publish) {
-  return DoGetOrPublish(
-      key, [&key, &publish]() -> Result<std::shared_ptr<CachedRelease>> {
-        Result<sparse::SparseHistogram> published = publish();
-        if (!published.ok()) {
-          return published.status();
-        }
-        return std::make_shared<CachedRelease>(key,
-                                               std::move(published).value());
-      });
-}
-
-Result<std::shared_ptr<const CachedRelease>> ReleaseCache::DoGetOrPublish(
-    const ReleaseKey& key, const MakeReleaseFn& make) {
   Shard& shard = ShardFor(key);
   std::shared_ptr<Entry> entry;
   {
@@ -151,14 +125,14 @@ Result<std::shared_ptr<const CachedRelease>> ReleaseCache::DoGetOrPublish(
   // The error propagates uncached, so a later call may retry — the
   // exactly-once contract is on *successful* publication.
   DPHIST_FAILPOINT_RETURN_IF_SET("serve/cache/publish");
-  Result<std::shared_ptr<CachedRelease>> made = make();
+  Result<std::shared_ptr<SealedRelease>> made = publish();
   if (!made.ok()) {
     return made.status();
   }
   // Chaos hook: latency between publish success and cache insert, to
   // widen the window where racing waiters block on the publish mutex.
   DPHIST_FAILPOINT("serve/cache/insert");
-  std::shared_ptr<CachedRelease> release = std::move(made).value();
+  std::shared_ptr<SealedRelease> release = std::move(made).value();
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     // An eviction may have removed the entry while this publish ran (a
@@ -177,7 +151,7 @@ Result<std::shared_ptr<const CachedRelease>> ReleaseCache::DoGetOrPublish(
   }
 }
 
-std::shared_ptr<const CachedRelease> ReleaseCache::Lookup(
+std::shared_ptr<const SealedRelease> ReleaseCache::Lookup(
     const ReleaseKey& key) const {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -185,9 +159,9 @@ std::shared_ptr<const CachedRelease> ReleaseCache::Lookup(
   return it == shard.entries.end() ? nullptr : it->second->release;
 }
 
-std::shared_ptr<const CachedRelease> ReleaseCache::LookupServing(
+std::shared_ptr<const SealedRelease> ReleaseCache::LookupServing(
     const ReleaseKey& key) const {
-  std::shared_ptr<const CachedRelease> release = Lookup(key);
+  std::shared_ptr<const SealedRelease> release = Lookup(key);
   if (release != nullptr) {
     HitCounter().Increment();
   }
@@ -208,20 +182,9 @@ bool ReleaseCache::Evict(const ReleaseKey& key) {
   return true;
 }
 
-std::shared_ptr<const CachedRelease> ReleaseCache::RestorePublished(
-    const ReleaseKey& key, Histogram histogram) {
-  return InsertRestored(
-      key, std::make_shared<CachedRelease>(key, std::move(histogram)));
-}
-
-std::shared_ptr<const CachedRelease> ReleaseCache::RestorePublishedSparse(
-    const ReleaseKey& key, sparse::SparseHistogram sparse) {
-  return InsertRestored(
-      key, std::make_shared<CachedRelease>(key, std::move(sparse)));
-}
-
-std::shared_ptr<const CachedRelease> ReleaseCache::InsertRestored(
-    const ReleaseKey& key, std::shared_ptr<CachedRelease> release) {
+std::shared_ptr<const SealedRelease> ReleaseCache::RestorePublished(
+    std::shared_ptr<SealedRelease> release) {
+  const ReleaseKey& key = release->key();
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto [it, inserted] = shard.entries.try_emplace(key);
@@ -236,13 +199,13 @@ std::shared_ptr<const CachedRelease> ReleaseCache::InsertRestored(
   return it->second->release;
 }
 
-std::shared_ptr<const CachedRelease> ReleaseCache::NewestFor(
+std::shared_ptr<const SealedRelease> ReleaseCache::NewestFor(
     const TenantKey& tenant_key, std::string_view publisher) const {
   // The whole namespace hashes to one shard, so this scan is consistent
   // under exactly one lock.
   Shard& shard = *shards_[shard_map_.IndexFor(tenant_key)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  std::shared_ptr<const CachedRelease> newest;
+  std::shared_ptr<const SealedRelease> newest;
   for (const auto& [key, entry] : shard.entries) {
     if (key.tenant != tenant_key.tenant ||
         key.dataset != tenant_key.dataset || entry->release == nullptr) {

@@ -151,9 +151,6 @@ class SealedRelease {
   mutable std::mutex frame_mutex_;
 };
 
-/// Pre-rename alias; new code should say SealedRelease.
-using CachedRelease = SealedRelease;
-
 /// Construction knobs for ReleaseCache.
 struct ReleaseCacheOptions {
   /// Shard count; 0 defers to DPHIST_SERVE_SHARDS, then
@@ -185,8 +182,10 @@ struct ReleaseCacheOptions {
 /// `serve/cache/evictions` tracks removals.
 class ReleaseCache {
  public:
-  using PublishFn = std::function<Result<Histogram>()>;
-  using SparsePublishFn = std::function<Result<sparse::SparseHistogram>()>;
+  /// Produces the finished release for the key it was asked for, inside
+  /// that key's publish slot. The cache assigns the sequence number on
+  /// insert, so the callback leaves it 0.
+  using PublishFn = std::function<Result<std::shared_ptr<SealedRelease>>()>;
 
   explicit ReleaseCache(ReleaseCacheOptions options = {});
   ReleaseCache(const ReleaseCache&) = delete;
@@ -194,26 +193,21 @@ class ReleaseCache {
 
   /// Returns the cached release for `key`, publishing it via `publish` on
   /// first use. Propagates the callback's error status (e.g. a
-  /// ResourceExhausted budget refusal) without caching anything.
-  Result<std::shared_ptr<const CachedRelease>> GetOrPublish(
+  /// ResourceExhausted budget refusal) without caching anything. The
+  /// callback's release must carry `key`; dense and sparse releases share
+  /// one keyspace.
+  Result<std::shared_ptr<const SealedRelease>> GetOrPublish(
       const ReleaseKey& key, const PublishFn& publish);
 
-  /// Sparse counterpart of `GetOrPublish`, with the identical coalescing
-  /// and exactly-once contract; dense and sparse releases share one
-  /// keyspace (a key is one or the other, decided by which publish path
-  /// first succeeded).
-  Result<std::shared_ptr<const CachedRelease>> GetOrPublishSparse(
-      const ReleaseKey& key, const SparsePublishFn& publish);
-
   /// The cached release for `key`, or null when absent. Never publishes.
-  std::shared_ptr<const CachedRelease> Lookup(const ReleaseKey& key) const;
+  std::shared_ptr<const SealedRelease> Lookup(const ReleaseKey& key) const;
 
   /// Serving-path lookup: identical to `Lookup`, but a non-null result is
   /// recorded as a `serve/cache/hits` — the fast lane's single shard-mutex
   /// touch. A null result records nothing (the caller falls through to
   /// `GetOrPublish`, which counts the miss once per publish attempt, so
   /// hit/miss totals stay consistent with the pre-fast-lane accounting).
-  std::shared_ptr<const CachedRelease> LookupServing(
+  std::shared_ptr<const SealedRelease> LookupServing(
       const ReleaseKey& key) const;
 
   /// Records one `serve/cache/hits` for a release resolved through a plain
@@ -227,24 +221,19 @@ class ReleaseCache {
   /// insert re-creates the entry).
   bool Evict(const ReleaseKey& key);
 
-  /// Inserts an already-published release (journal replay). Idempotent:
-  /// when `key` is already ready the existing release is returned and the
-  /// histogram is discarded — replaying a journal twice cannot double any
-  /// state.
-  std::shared_ptr<const CachedRelease> RestorePublished(
-      const ReleaseKey& key, Histogram histogram);
-
-  /// Sparse counterpart of `RestorePublished` (journal replay of
-  /// kPublishSparse records); same idempotence contract.
-  std::shared_ptr<const CachedRelease> RestorePublishedSparse(
-      const ReleaseKey& key, sparse::SparseHistogram sparse);
+  /// Inserts an already-published release under its own key (journal
+  /// replay). Idempotent: when the key is already ready the existing
+  /// release is returned and `release` is discarded — replaying a journal
+  /// twice cannot double any state.
+  std::shared_ptr<const SealedRelease> RestorePublished(
+      std::shared_ptr<SealedRelease> release);
 
   /// The most recently published release in `tenant_key`'s namespace, or
   /// null when none exists — the degraded-serving fallback after a budget
   /// refusal. An empty `publisher` matches any publisher; a non-empty one
   /// filters to that publisher's releases. Never crosses a tenant/dataset
   /// boundary.
-  std::shared_ptr<const CachedRelease> NewestFor(
+  std::shared_ptr<const SealedRelease> NewestFor(
       const TenantKey& tenant_key, std::string_view publisher) const;
 
   /// Number of successfully published (ready) releases across all shards.
@@ -260,20 +249,8 @@ class ReleaseCache {
     std::mutex publish_mutex;
     /// The ready release; guarded by the owning shard's mutex, null until
     /// a publish succeeded.
-    std::shared_ptr<const CachedRelease> release;
+    std::shared_ptr<const SealedRelease> release;
   };
-
-  /// Shared coalescing core of GetOrPublish/GetOrPublishSparse: `make`
-  /// runs inside the per-key publish slot and produces the finished
-  /// CachedRelease (without a sequence number, which the insert assigns).
-  using MakeReleaseFn =
-      std::function<Result<std::shared_ptr<CachedRelease>>()>;
-  Result<std::shared_ptr<const CachedRelease>> DoGetOrPublish(
-      const ReleaseKey& key, const MakeReleaseFn& make);
-
-  /// Shared idempotent-insert core of RestorePublished*.
-  std::shared_ptr<const CachedRelease> InsertRestored(
-      const ReleaseKey& key, std::shared_ptr<CachedRelease> release);
 
   struct Shard {
     mutable std::mutex mutex;

@@ -9,7 +9,6 @@
 
 #include "dphist/algorithms/registry.h"
 #include "dphist/obs/obs.h"
-#include "dphist/query/sparse_query.h"
 #include "dphist/random/rng.h"
 #include "dphist/testing/failpoint.h"
 
@@ -84,6 +83,58 @@ std::chrono::nanoseconds NextBackoff(std::chrono::nanoseconds backoff,
   return std::min(grown, retry.max_backoff);
 }
 
+// A release and its journal record, each way. The record's namespace,
+// fingerprint, publisher, epsilon and seed are the release's key; its body
+// is the dense counts (kPublish) or the sparse domain, keys and counts
+// (kPublishSparse).
+JournalRecord PublishRecord(const SealedRelease& release) {
+  const ReleaseKey& key = release.key();
+  JournalRecord record;
+  record.type = release.is_sparse() ? JournalRecord::Type::kPublishSparse
+                                    : JournalRecord::Type::kPublish;
+  record.key = key.tenant_key();
+  record.fingerprint = key.dataset_fingerprint;
+  record.publisher = key.publisher;
+  record.epsilon = key.epsilon;
+  record.seed = key.seed;
+  if (!release.is_sparse()) {
+    record.counts = release.histogram().counts();
+    return record;
+  }
+  const sparse::SparseHistogram& histogram = release.sparse_histogram();
+  record.domain = histogram.domain_size();
+  record.keys.reserve(histogram.stored_keys());
+  record.counts.reserve(histogram.stored_keys());
+  for (const sparse::SparseEntry& entry : histogram.entries()) {
+    record.keys.push_back(entry.key);
+    record.counts.push_back(entry.count);
+  }
+  return record;
+}
+
+// The release a kPublish or kPublishSparse record carries; kInvalidArgument
+// when a sparse body breaks the sparse invariants (out-of-domain or
+// unsorted keys).
+Result<std::shared_ptr<SealedRelease>> ReleaseFromRecord(
+    const JournalRecord& record) {
+  ReleaseKey key{record.key.tenant, record.key.dataset, record.fingerprint,
+                 record.publisher,  record.epsilon,     record.seed};
+  if (record.type == JournalRecord::Type::kPublish) {
+    return std::make_shared<SealedRelease>(std::move(key),
+                                           Histogram(record.counts));
+  }
+  std::vector<sparse::SparseEntry> entries;
+  const std::size_t count = std::min(record.keys.size(), record.counts.size());
+  entries.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    entries.push_back({record.keys[i], record.counts[i]});
+  }
+  DPHIST_ASSIGN_OR_RETURN(
+      sparse::SparseHistogram histogram,
+      sparse::SparseHistogram::Create(record.domain, std::move(entries)));
+  return std::make_shared<SealedRelease>(std::move(key), std::move(histogram));
+}
+
 }  // namespace
 
 std::string RecoveryStats::ToString() const {
@@ -94,17 +145,15 @@ std::string RecoveryStats::ToString() const {
          std::to_string(truncated_bytes) + " torn byte(s) discarded";
 }
 
-ReleaseServer::Dataset::Dataset(TenantKey key, Histogram truth_in,
-                                double total_epsilon, Journal* journal)
-    : truth(std::move(truth_in)),
-      fingerprint(FingerprintHistogram(truth)),
-      ledger(std::move(key), total_epsilon, journal) {}
-
-ReleaseServer::Dataset::Dataset(TenantKey key,
-                                sparse::SparseHistogram sparse_in,
-                                double total_epsilon, Journal* journal)
-    : sparse_truth(std::move(sparse_in)),
-      fingerprint(sparse::FingerprintSparseHistogram(*sparse_truth)),
+ReleaseServer::Dataset::Dataset(
+    TenantKey key, Histogram dense_truth,
+    std::optional<sparse::SparseHistogram> sparse_truth_in,
+    double total_epsilon, Journal* journal)
+    : truth(std::move(dense_truth)),
+      sparse_truth(std::move(sparse_truth_in)),
+      fingerprint(is_sparse()
+                      ? sparse::FingerprintSparseHistogram(*sparse_truth)
+                      : FingerprintHistogram(truth)),
       ledger(std::move(key), total_epsilon, journal) {}
 
 Result<std::shared_ptr<const PreparedTruth>>
@@ -142,26 +191,27 @@ ReleaseServer::ReleaseServer(Histogram truth, double total_epsilon,
 
 Status ReleaseServer::AddDataset(const TenantKey& key, Histogram truth,
                                  double total_epsilon) {
-  // Refused here, before any ledger exists: every publisher rejects
-  // non-finite counts, and a release that cannot publish must never be
-  // charged.
-  DPHIST_RETURN_IF_ERROR(CheckFiniteCounts(truth.counts()));
-  auto dataset = std::make_unique<Dataset>(key, std::move(truth),
-                                           total_epsilon, options_.journal);
-  std::unique_lock<std::shared_mutex> lock(datasets_mutex_);
-  auto [it, inserted] = datasets_.try_emplace(key, std::move(dataset));
-  (void)it;
-  if (!inserted) {
-    return Status::InvalidArgument("namespace '" + FormatTenantKey(key) +
-                                   "' is already registered");
-  }
-  return Status::Ok();
+  return Register(key, std::move(truth), std::nullopt, total_epsilon);
 }
 
 Status ReleaseServer::AddSparseDataset(const TenantKey& key,
                                        sparse::SparseHistogram truth,
                                        double total_epsilon) {
-  auto dataset = std::make_unique<Dataset>(key, std::move(truth),
+  return Register(key, Histogram(), std::move(truth), total_epsilon);
+}
+
+Status ReleaseServer::Register(
+    const TenantKey& key, Histogram dense_truth,
+    std::optional<sparse::SparseHistogram> sparse_truth,
+    double total_epsilon) {
+  // Refused here, before any ledger exists: every publisher rejects
+  // non-finite counts, and a release that cannot publish must never be
+  // charged.
+  DPHIST_RETURN_IF_ERROR(sparse_truth.has_value()
+                             ? sparse::CheckFiniteCounts(*sparse_truth)
+                             : CheckFiniteCounts(dense_truth.counts()));
+  auto dataset = std::make_unique<Dataset>(key, std::move(dense_truth),
+                                           std::move(sparse_truth),
                                            total_epsilon, options_.journal);
   std::unique_lock<std::shared_mutex> lock(datasets_mutex_);
   auto [it, inserted] = datasets_.try_emplace(key, std::move(dataset));
@@ -201,99 +251,68 @@ ReleaseServer::Dataset* ReleaseServer::DefaultDataset() const {
   return it == datasets_.end() ? nullptr : it->second.get();
 }
 
-Result<std::shared_ptr<const CachedRelease>> ReleaseServer::GetRelease(
+Result<std::shared_ptr<const SealedRelease>> ReleaseServer::GetRelease(
     const TenantKey& tenant_key, const ServeRequest& request) {
   DPHIST_ASSIGN_OR_RETURN(Dataset* dataset, FindDataset(tenant_key));
-  ReleaseKey key{tenant_key.tenant,   tenant_key.dataset,
-                 dataset->fingerprint, request.publisher,
-                 request.epsilon,      request.seed};
+  const ReleaseKey key{tenant_key.tenant,   tenant_key.dataset,
+                       dataset->fingerprint, request.publisher,
+                       request.epsilon,      request.seed};
   // The charge happens inside the cache's once-per-key publish slot:
   // racing cache misses for the same key coalesce onto a single ledger
   // charge and a single publication, so a popular release is paid for
   // exactly once no matter how many threads request it.
-  if (dataset->is_sparse()) {
-    return cache_.GetOrPublishSparse(
-        key, [&]() -> Result<sparse::SparseHistogram> {
-          auto publisher = PublisherRegistry::MakeSparse(request.publisher);
-          if (!publisher.ok()) {
-            return publisher.status();
-          }
-          DPHIST_RETURN_IF_ERROR(dataset->ledger.Charge(
-              request.epsilon, request.publisher + ":seed=" +
-                                   std::to_string(request.seed)));
-          Rng rng(request.seed);
-          Result<sparse::SparseHistogram> published =
-              publisher.value()->Publish(*dataset->sparse_truth,
-                                         request.epsilon, rng);
-          if (!published.ok() || options_.journal == nullptr) {
-            return published;
-          }
-          // Same durability-before-ack contract as the dense slot: the
-          // released keys and values must be on disk before the cache
-          // insert that acknowledges them.
-          JournalRecord record;
-          record.type = JournalRecord::Type::kPublishSparse;
-          record.key = tenant_key;
-          record.fingerprint = dataset->fingerprint;
-          record.publisher = request.publisher;
-          record.epsilon = request.epsilon;
-          record.seed = request.seed;
-          record.domain = published.value().domain_size();
-          const auto& entries = published.value().entries();
-          record.keys.reserve(entries.size());
-          record.counts.reserve(entries.size());
-          for (const sparse::SparseEntry& entry : entries) {
-            record.keys.push_back(entry.key);
-            record.counts.push_back(entry.count);
-          }
-          DPHIST_RETURN_IF_ERROR(options_.journal->Append(record));
-          DPHIST_RETURN_IF_ERROR(options_.journal->Sync());
-          return published;
-        });
+  return cache_.GetOrPublish(key, [&] { return Publish(*dataset, key); });
+}
+
+Result<std::shared_ptr<SealedRelease>> ReleaseServer::Publish(
+    Dataset& dataset, const ReleaseKey& key) {
+  // The publisher, and for a dense one its data-only stage, come before
+  // the charge: neither draws anything, and a release that cannot be
+  // prepared must cost no budget.
+  std::unique_ptr<sparse::SparseHistogramPublisher> sparse_publisher;
+  std::unique_ptr<HistogramPublisher> publisher;
+  std::shared_ptr<const PreparedTruth> prepared;
+  if (dataset.is_sparse()) {
+    DPHIST_ASSIGN_OR_RETURN(sparse_publisher,
+                            PublisherRegistry::MakeSparse(key.publisher));
+  } else {
+    DPHIST_ASSIGN_OR_RETURN(publisher, PublisherRegistry::Make(key.publisher));
+    DPHIST_ASSIGN_OR_RETURN(prepared,
+                            dataset.PreparedFor(key.publisher, *publisher));
   }
-  return cache_.GetOrPublish(key, [&]() -> Result<Histogram> {
-    auto publisher = PublisherRegistry::Make(request.publisher);
-    if (!publisher.ok()) {
-      return publisher.status();
-    }
-    // The data-only stage comes before the charge: it draws nothing, and
-    // a release it cannot prepare must cost no budget.
+  DPHIST_RETURN_IF_ERROR(dataset.ledger.Charge(
+      key.epsilon, key.publisher + ":seed=" + std::to_string(key.seed)));
+  // A charge precedes its publication (never sample noise the budget
+  // cannot cover); publish failures after a successful charge are
+  // conservative — the epsilon stays spent.
+  Rng rng(key.seed);
+  std::shared_ptr<SealedRelease> release;
+  if (dataset.is_sparse()) {
     DPHIST_ASSIGN_OR_RETURN(
-        std::shared_ptr<const PreparedTruth> prepared,
-        dataset->PreparedFor(request.publisher, *publisher.value()));
-    DPHIST_RETURN_IF_ERROR(dataset->ledger.Charge(
-        request.epsilon, request.publisher + ":seed=" +
-                             std::to_string(request.seed)));
-    // A charge precedes its publication (never sample noise the budget
-    // cannot cover); publish failures after a successful charge are
-    // conservative — the epsilon stays spent.
-    Rng rng(request.seed);
-    Result<Histogram> published = publisher.value()->PublishPrepared(
-        dataset->truth, prepared.get(), request.epsilon, rng);
-    if (!published.ok() || options_.journal == nullptr) {
-      return published;
-    }
+        sparse::SparseHistogram published,
+        sparse_publisher->Publish(*dataset.sparse_truth, key.epsilon, rng));
+    release = std::make_shared<SealedRelease>(key, std::move(published));
+  } else {
+    DPHIST_ASSIGN_OR_RETURN(Histogram published,
+                            publisher->PublishPrepared(dataset.truth,
+                                                       prepared.get(),
+                                                       key.epsilon, rng));
+    release = std::make_shared<SealedRelease>(key, std::move(published));
+  }
+  if (options_.journal != nullptr) {
     // Durability before acknowledgement: the publish record (with the
-    // released counts) must be on disk before the cache insert that makes
+    // released body) must be on disk before the cache insert that makes
     // this release visible. The explicit Sync pins the ack boundary even
     // under relaxed fsync policies; under kEveryRecord it is a no-op
     // second sync. On failure the epsilon stays spent and nothing is
     // released — the caller may retry into the same coalesced slot.
-    JournalRecord record;
-    record.type = JournalRecord::Type::kPublish;
-    record.key = tenant_key;
-    record.fingerprint = dataset->fingerprint;
-    record.publisher = request.publisher;
-    record.epsilon = request.epsilon;
-    record.seed = request.seed;
-    record.counts = published.value().counts();
-    DPHIST_RETURN_IF_ERROR(options_.journal->Append(record));
+    DPHIST_RETURN_IF_ERROR(options_.journal->Append(PublishRecord(*release)));
     DPHIST_RETURN_IF_ERROR(options_.journal->Sync());
-    return published;
-  });
+  }
+  return release;
 }
 
-Result<std::shared_ptr<const CachedRelease>> ReleaseServer::GetRelease(
+Result<std::shared_ptr<const SealedRelease>> ReleaseServer::GetRelease(
     const ServeRequest& request) {
   return GetRelease(DefaultTenantKey(), request);
 }
@@ -302,12 +321,7 @@ Result<BatchAnswer> ReleaseServer::AnswerBatch(
     const TenantKey& tenant_key, const std::vector<RangeQuery>& queries,
     const ServeRequest& request) {
   DPHIST_ASSIGN_OR_RETURN(Dataset* dataset, FindDataset(tenant_key));
-  if (dataset->is_sparse()) {
-    DPHIST_RETURN_IF_ERROR(
-        ValidateSparseQueries(queries, dataset->domain()));
-  } else {
-    DPHIST_RETURN_IF_ERROR(ValidateQueries(queries, dataset->truth.size()));
-  }
+  DPHIST_RETURN_IF_ERROR(ValidateQueries(queries, dataset->domain()));
   obs::ScopedTimer batch_timer("serve/batch");
   BatchCounter().Increment();
   BatchQueryCounter().Add(queries.size());
@@ -318,7 +332,7 @@ Result<BatchAnswer> ReleaseServer::AnswerBatch(
   // Fast lane: one counting lookup. A sealed release needs none of the
   // retry/degradation machinery below — it is immutable, already paid
   // for, and lock-free to read.
-  std::shared_ptr<const CachedRelease> release = cache_.LookupServing(
+  std::shared_ptr<const SealedRelease> release = cache_.LookupServing(
       {tenant_key.tenant, tenant_key.dataset, dataset->fingerprint,
        request.publisher, request.epsilon, request.seed});
   if (release != nullptr) {
@@ -385,7 +399,7 @@ Result<BatchAnswer> ReleaseServer::AnswerBatch(
   return batch;
 }
 
-void ReleaseServer::AnswerInto(const CachedRelease& release,
+void ReleaseServer::AnswerInto(const SealedRelease& release,
                                const std::vector<RangeQuery>& queries,
                                std::vector<double>* answers,
                                bool may_fan_out) const {
@@ -413,7 +427,7 @@ void ReleaseServer::AnswerInto(const CachedRelease& release,
   }
 }
 
-std::shared_ptr<const CachedRelease> ReleaseServer::TryGetCached(
+std::shared_ptr<const SealedRelease> ReleaseServer::TryGetCached(
     const TenantKey& tenant_key, const ServeRequest& request) const {
   auto dataset = FindDataset(tenant_key);
   if (!dataset.ok()) {
@@ -429,7 +443,7 @@ Result<bool> ReleaseServer::TryAnswerCached(
     const TenantKey& tenant_key, const std::vector<RangeQuery>& queries,
     const ServeRequest& request, BatchAnswer* out) {
   DPHIST_ASSIGN_OR_RETURN(Dataset* dataset, FindDataset(tenant_key));
-  std::shared_ptr<const CachedRelease> release = cache_.Lookup(
+  std::shared_ptr<const SealedRelease> release = cache_.Lookup(
       {tenant_key.tenant, tenant_key.dataset, dataset->fingerprint,
        request.publisher, request.epsilon, request.seed});
   if (release == nullptr) {
@@ -441,11 +455,7 @@ Result<bool> ReleaseServer::TryAnswerCached(
   // From here on this is the AnswerBatch cache-hit path verbatim —
   // validation, counters, and chaos hooks included — so answers, errors,
   // and observability are indistinguishable between the two lanes.
-  if (dataset->is_sparse()) {
-    DPHIST_RETURN_IF_ERROR(ValidateSparseQueries(queries, dataset->domain()));
-  } else {
-    DPHIST_RETURN_IF_ERROR(ValidateQueries(queries, dataset->truth.size()));
-  }
+  DPHIST_RETURN_IF_ERROR(ValidateQueries(queries, dataset->domain()));
   obs::DistributionTimer batch_timer(BatchDistribution());
   BatchCounter().Increment();
   BatchQueryCounter().Add(queries.size());
@@ -492,45 +502,23 @@ Result<RecoveryStats> ReleaseServer::Recover(const ReplayResult& replay) {
         }
         break;
       }
-      case JournalRecord::Type::kPublish: {
-        if (record.fingerprint != dataset.value()->fingerprint) {
-          // The registered truth changed since this release was journaled;
-          // its answers describe data the server no longer holds.
-          ++stats.skipped;
-          break;
-        }
-        ReleaseKey key{record.key.tenant, record.key.dataset,
-                       record.fingerprint, record.publisher,
-                       record.epsilon,     record.seed};
-        cache_.RestorePublished(key, Histogram(record.counts));
-        ++stats.releases_replayed;
-        break;
-      }
+      case JournalRecord::Type::kPublish:
       case JournalRecord::Type::kPublishSparse: {
-        if (record.fingerprint != dataset.value()->fingerprint) {
+        const Dataset& registered = *dataset.value();
+        auto release = ReleaseFromRecord(record);
+        // A release installs only when it fits the registered truth: the
+        // same data (fingerprint), and the same representation and domain
+        // size, since queries are validated against the dataset and then
+        // read the release unchecked. A sparse body that breaks the sparse
+        // invariants cannot be replayed either; skip rather than fail the
+        // whole recovery.
+        if (record.fingerprint != registered.fingerprint || !release.ok() ||
+            release.value()->is_sparse() != registered.is_sparse() ||
+            release.value()->size() != registered.domain()) {
           ++stats.skipped;
           break;
         }
-        std::vector<sparse::SparseEntry> entries;
-        const std::size_t count =
-            std::min(record.keys.size(), record.counts.size());
-        entries.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          entries.push_back({record.keys[i], record.counts[i]});
-        }
-        auto restored =
-            sparse::SparseHistogram::Create(record.domain, std::move(entries));
-        if (!restored.ok()) {
-          // A CRC-valid frame whose body violates the sparse invariants
-          // (out-of-domain or unsorted keys) cannot be replayed; skip it
-          // rather than fail the whole recovery.
-          ++stats.skipped;
-          break;
-        }
-        ReleaseKey key{record.key.tenant, record.key.dataset,
-                       record.fingerprint, record.publisher,
-                       record.epsilon,     record.seed};
-        cache_.RestorePublishedSparse(key, std::move(restored).value());
+        cache_.RestorePublished(std::move(release).value());
         ++stats.releases_replayed;
         break;
       }

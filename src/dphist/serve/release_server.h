@@ -121,9 +121,10 @@ struct RecoveryStats {
   /// `remaining_epsilon` of a reconfigured tenant.
   std::size_t refusals = 0;
   /// Records skipped: namespaces no longer registered, or publish records
-  /// whose dataset fingerprint no longer matches the registered truth
-  /// (the data changed — replaying the old release would serve answers
-  /// about a histogram the server no longer holds).
+  /// that do not fit the registered truth — another fingerprint (the data
+  /// changed, so the old release would answer about a histogram the
+  /// server no longer holds), or another representation or domain size
+  /// (queries validated against the dataset would read past the release).
   std::size_t skipped = 0;
   /// Torn/corrupt tail bytes the replay discarded (from ReplayResult).
   std::uint64_t truncated_bytes = 0;
@@ -211,11 +212,11 @@ class ReleaseServer {
   Status AddDataset(const TenantKey& key, Histogram truth,
                     double total_epsilon);
 
-  /// Registers a sparse dataset under `key`: its requests must name a
-  /// sparse publisher (see `PublisherRegistry::SparseNames`), queries are
-  /// validated against the 64-bit sparse domain, and publications are
-  /// journaled as `kPublishSparse` records. Fails `kInvalidArgument` when
-  /// the namespace is taken.
+  /// Registers a sparse dataset under `key`, with the same checks as
+  /// `AddDataset`: its requests must name a sparse publisher (see
+  /// `PublisherRegistry::SparseNames`), queries are validated against the
+  /// 64-bit sparse domain, and publications are journaled as
+  /// `kPublishSparse` records.
   Status AddSparseDataset(const TenantKey& key,
                           sparse::SparseHistogram truth,
                           double total_epsilon);
@@ -227,11 +228,11 @@ class ReleaseServer {
   /// charge, kInvalidArgument for bad publish arguments, and the journal's
   /// error when durability failed. Never degrades — that policy lives in
   /// AnswerBatch.
-  Result<std::shared_ptr<const CachedRelease>> GetRelease(
+  Result<std::shared_ptr<const SealedRelease>> GetRelease(
       const TenantKey& key, const ServeRequest& request);
 
   /// Default-namespace convenience overload.
-  Result<std::shared_ptr<const CachedRelease>> GetRelease(
+  Result<std::shared_ptr<const SealedRelease>> GetRelease(
       const ServeRequest& request);
 
   /// The already-sealed release for `request`, or null when it is not
@@ -240,7 +241,7 @@ class ReleaseServer {
   /// shared-lock registry read plus one shard-mutex cache lookup, after
   /// which the caller holds an immutable snapshot and touches no server
   /// state at all. A non-null result counts as a `serve/cache/hits`.
-  std::shared_ptr<const CachedRelease> TryGetCached(
+  std::shared_ptr<const SealedRelease> TryGetCached(
       const TenantKey& key, const ServeRequest& request) const;
 
   /// Fast-lane batch answering: when the release for `request` is already
@@ -275,9 +276,11 @@ class ReleaseServer {
   /// Replays a recovered journal into the registered namespaces: charges
   /// re-enter their ledgers (without re-journaling), publications re-enter
   /// the cache (idempotently). Call after registering every dataset and
-  /// before serving. Records for unregistered namespaces and publish
-  /// records whose fingerprint no longer matches the registered truth are
-  /// counted in `skipped`, never applied.
+  /// before serving. Records for unregistered namespaces, and publish
+  /// records that do not fit the registered truth (another fingerprint,
+  /// the other representation, another domain size, or a sparse body that
+  /// breaks the sparse invariants), are counted in `skipped`, never
+  /// applied.
   Result<RecoveryStats> Recover(const ReplayResult& replay);
 
   /// Number of registered namespaces.
@@ -304,9 +307,8 @@ class ReleaseServer {
   /// One registered namespace: the truth (dense or sparse), its
   /// fingerprint, its ledger.
   struct Dataset {
-    Dataset(TenantKey key, Histogram truth_in, double total_epsilon,
-            Journal* journal);
-    Dataset(TenantKey key, sparse::SparseHistogram sparse_in,
+    Dataset(TenantKey key, Histogram dense_truth,
+            std::optional<sparse::SparseHistogram> sparse_truth_in,
             double total_epsilon, Journal* journal);
 
     bool is_sparse() const { return sparse_truth.has_value(); }
@@ -342,6 +344,20 @@ class ReleaseServer {
     std::map<std::string, PreparedSlot> prepared;
   };
 
+  /// The one registration path behind AddDataset and AddSparseDataset:
+  /// `sparse_truth` set means a sparse dataset (and `dense_truth` is
+  /// empty).
+  Status Register(const TenantKey& key, Histogram dense_truth,
+                  std::optional<sparse::SparseHistogram> sparse_truth,
+                  double total_epsilon);
+
+  /// The publish slot behind GetRelease, run inside the cache's per-key
+  /// slot: publisher, data-only stage, charge, publish, then the journal
+  /// append and sync that make the release durable before it is
+  /// acknowledged.
+  Result<std::shared_ptr<SealedRelease>> Publish(Dataset& dataset,
+                                                 const ReleaseKey& key);
+
   /// Resolves `key` to its namespace, or the typed isolation error.
   Result<Dataset*> FindDataset(const TenantKey& key) const;
 
@@ -353,7 +369,7 @@ class ReleaseServer {
   /// least `min_parallel_batch` split across the pool; every answer is an
   /// independent prefix subtraction, so both lanes produce bit-identical
   /// answers at any pool width.
-  void AnswerInto(const CachedRelease& release,
+  void AnswerInto(const SealedRelease& release,
                   const std::vector<RangeQuery>& queries,
                   std::vector<double>* answers, bool may_fan_out) const;
 

@@ -104,6 +104,13 @@ Result<double> SparseHistogram::RangeSum(std::uint64_t begin,
   return RangeSumUnchecked(begin, end);
 }
 
+Status CheckFiniteCounts(const SparseHistogram& histogram) {
+  for (const SparseEntry& entry : histogram.entries()) {
+    DPHIST_RETURN_IF_ERROR(CheckFiniteCount(entry.count, "key", entry.key));
+  }
+  return Status::Ok();
+}
+
 std::uint64_t FingerprintSparseHistogram(const SparseHistogram& histogram) {
   // FNV-1a over the domain size, then each (key, count-bit-pattern) pair —
   // the same construction as FingerprintHistogram, extended with the

@@ -129,6 +129,13 @@ class SparseHistogram {
   unsigned shift_ = 0;
 };
 
+/// kInvalidArgument naming the first stored key whose count is NaN or
+/// infinite (the message of the dense `CheckFiniteCounts`, with "key" for
+/// "bin"), OK when every count is finite. Sparse publishers and
+/// `ReleaseServer::AddSparseDataset` check it: a non-finite count would
+/// otherwise release an infinite count and a NaN total.
+Status CheckFiniteCounts(const SparseHistogram& histogram);
+
 /// 64-bit FNV-1a fingerprint over the domain size, keys, and count bit
 /// patterns. Fills the same role for sparse datasets as
 /// `FingerprintHistogram` does for dense ones: journal records carry

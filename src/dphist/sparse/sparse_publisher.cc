@@ -12,7 +12,7 @@ Status SparseHistogramPublisher::ValidatePublishArgs(
   if (!(epsilon > 0.0)) {
     return Status::InvalidArgument("sparse publish: epsilon must be > 0");
   }
-  return Status::Ok();
+  return CheckFiniteCounts(truth);
 }
 
 }  // namespace sparse

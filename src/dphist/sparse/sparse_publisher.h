@@ -61,8 +61,9 @@ class SparseHistogramPublisher {
   }
 
  protected:
-  /// Shared argument validation: rejects a zero-sized domain and
-  /// non-positive epsilon with a typed `kInvalidArgument`.
+  /// Shared argument validation: rejects a zero-sized domain, a
+  /// non-positive epsilon and a NaN or infinite count with a typed
+  /// `kInvalidArgument`.
   static Status ValidatePublishArgs(const SparseHistogram& truth,
                                     double epsilon);
 };

@@ -4,7 +4,9 @@
 // torn-tail truncation on reopen, and the fsync policy matrix on a fake
 // clock. The journal is what makes budget spend survive a crash, so the
 // codec gets the paranoid treatment: replay must never invent a record and
-// never crash, no matter where the file stops or which bit rotted.
+// never crash, no matter where the file stops or which bit rotted — and a
+// payload that passes its CRC but was mutated must replay and recover
+// safely too.
 
 #include <unistd.h>
 
@@ -15,13 +17,19 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dphist/common/binary_io.h"
 #include "dphist/common/clock.h"
+#include "dphist/data/generators.h"
 #include "dphist/random/rng.h"
 #include "dphist/serve/journal.h"
+#include "dphist/serve/release_server.h"
+#include "dphist/sparse/sparse_histogram.h"
 
 namespace dphist {
 namespace serve {
@@ -406,6 +414,170 @@ TEST(JournalFsyncTest, SinkStreamReplaysIdenticallyToFileStream) {
   ASSERT_EQ(replayed.value().records.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(replayed.value().records[i], records[i]) << i;
+  }
+}
+
+// --- journal payload property test ---
+//
+// CRC-32 rejects every bit flip of a stored frame before its payload is
+// decoded, so a flipped-byte corpus never reaches DecodePayload or
+// Recover. This one re-frames each mutated payload with a freshly computed
+// CRC, so every mutation reaches both: each stream must replay to records
+// (or a typed error), recover into a server holding the original datasets
+// with OK or a typed error, and every release it installs must fit its
+// dataset and answer the dataset's whole domain.
+
+// The sparse domain is 3 * 2^39: one byte substitution in its top byte
+// (0x18 -> 0x01) yields 2^40, a smaller domain that still holds every
+// key, which is the shape of a release shorter than its dataset.
+constexpr std::uint64_t kPropertySparseDomain = 3ULL << 39;
+
+sparse::SparseHistogram PropertySparseTruth() {
+  std::vector<sparse::SparseEntry> entries;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    entries.push_back({i * (1ULL << 35) + 3,
+                       40.0 + static_cast<double>((i * 7) % 11)});
+  }
+  auto truth = sparse::SparseHistogram::Create(kPropertySparseDomain,
+                                               std::move(entries));
+  EXPECT_TRUE(truth.ok()) << truth.status().ToString();
+  return std::move(truth).value();
+}
+
+std::string Frame(std::string_view payload) {
+  std::string frame;
+  binio::PutU32(frame, static_cast<std::uint32_t>(payload.size()));
+  binio::PutU32(frame, binio::Crc32(payload));
+  frame.append(payload);
+  return frame;
+}
+
+// Replays `bytes` into a fresh server over `dense` and `sparse_truth`, and
+// answers [0, domain) from every release the recovery installed.
+void RecoverAndAnswerEverything(const std::string& bytes,
+                                const Histogram& dense,
+                                const sparse::SparseHistogram& sparse_truth,
+                                const std::string& context) {
+  auto replay = ReplayJournalBytes(bytes);
+  if (!replay.ok()) {
+    EXPECT_NE(replay.status().code(), StatusCode::kOk) << context;
+    return;
+  }
+  const TenantKey clicks{"acme", "clicks"};
+  const TenantKey urls{"acme", "urls"};
+  ReleaseServer server{ReleaseServerOptions{}};
+  ASSERT_TRUE(server.AddDataset(clicks, dense, 2.0).ok());
+  ASSERT_TRUE(server.AddSparseDataset(urls, sparse_truth, 2.0).ok());
+  auto stats = server.Recover(replay.value());
+  if (!stats.ok()) {
+    EXPECT_NE(stats.status().code(), StatusCode::kOk) << context;
+  }
+  for (const auto& [key, is_sparse, domain] :
+       {std::tuple{clicks, false, std::uint64_t{dense.size()}},
+        std::tuple{urls, true, kPropertySparseDomain}}) {
+    auto newest = server.cache().NewestFor(key, "");
+    if (newest != nullptr) {
+      EXPECT_EQ(newest->is_sparse(), is_sparse) << context;
+      EXPECT_EQ(newest->size(), domain) << context;
+    }
+  }
+  BatchAnswer answer;
+  for (const JournalRecord& record : replay.value().records) {
+    if (record.type == JournalRecord::Type::kCharge) {
+      continue;
+    }
+    auto ledger = server.LedgerFor(record.key);
+    if (!ledger.ok()) {
+      continue;  // a mutated namespace: nothing was installed under it
+    }
+    const std::uint64_t domain =
+        record.key.dataset == "urls" ? kPropertySparseDomain : dense.size();
+    auto hit = server.TryAnswerCached(
+        record.key, {{0, static_cast<std::size_t>(domain)}},
+        {record.publisher, record.epsilon, record.seed}, &answer);
+    EXPECT_TRUE(hit.ok()) << context << ": " << hit.status().ToString();
+  }
+}
+
+TEST(JournalPayloadPropertyTest, MutatedPayloadsReplayAndRecoverSafely) {
+  const Histogram dense = MakeSearchLogs(32, 1).histogram;
+  const sparse::SparseHistogram sparse_truth = PropertySparseTruth();
+  auto sink = std::make_unique<CountingSink>();
+  CountingSink* captured = sink.get();
+  auto journal = Journal::WithSink(std::move(sink));
+  ASSERT_TRUE(journal.ok());
+  ReleaseServerOptions options;
+  options.journal = journal.value().get();
+  ReleaseServer live(options);
+  ASSERT_TRUE(live.AddDataset({"acme", "clicks"}, dense, 2.0).ok());
+  ASSERT_TRUE(
+      live.AddSparseDataset({"acme", "urls"}, sparse_truth, 2.0).ok());
+  ASSERT_TRUE(live.GetRelease({"acme", "clicks"}, {"noise_first", 0.5, 1})
+                  .ok());
+  ASSERT_TRUE(live.GetRelease({"acme", "urls"}, {"unknown_domain", 0.5, 1})
+                  .ok());
+  ASSERT_TRUE(
+      live.GetRelease({"acme", "urls"}, {"sparse_pure", 0.5, 2}).ok());
+
+  // Split the journal into its payloads: kCharge, kPublish, kCharge,
+  // kPublishSparse, kCharge, kPublishSparse.
+  const std::string& bytes = captured->bytes;
+  std::vector<std::string> payloads;
+  binio::Cursor in{bytes, JournalMagic().size()};
+  std::uint32_t length = 0;
+  std::uint32_t crc = 0;
+  while (binio::GetU32(in, &length) && binio::GetU32(in, &crc)) {
+    payloads.emplace_back(bytes.substr(in.pos, length));
+    in.pos += length;
+  }
+  ASSERT_EQ(payloads.size(), 6u);
+  ASSERT_EQ(payloads[1][0], static_cast<char>(JournalRecord::Type::kPublish));
+  ASSERT_EQ(payloads[3][0],
+            static_cast<char>(JournalRecord::Type::kPublishSparse));
+
+  // The stream with payload `victim` replaced by `mutated`, re-framed.
+  auto stream = [&](std::size_t victim, const std::string& mutated) {
+    std::string out(JournalMagic());
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      out += Frame(i == victim ? mutated : payloads[i]);
+    }
+    return out;
+  };
+
+  // Every offset of every payload, each substitution byte.
+  for (std::size_t victim = 0; victim < payloads.size(); ++victim) {
+    for (std::size_t offset = 0; offset < payloads[victim].size(); ++offset) {
+      for (const unsigned char byte : {0x00, 0x01, 0x7f, 0x80, 0xff}) {
+        std::string mutated = payloads[victim];
+        mutated[offset] = static_cast<char>(byte);
+        RecoverAndAnswerEverything(
+            stream(victim, mutated), dense, sparse_truth,
+            "payload " + std::to_string(victim) + " offset " +
+                std::to_string(offset) + " byte " + std::to_string(byte));
+      }
+    }
+  }
+
+  // 2000 seeded multi-byte mutations: 2–8 byte substitutions, sometimes a
+  // truncation or a few appended bytes, so the payload length moves too.
+  Rng rng(20120412);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t victim = rng.NextUint64() % payloads.size();
+    std::string mutated = payloads[victim];
+    const std::uint64_t substitutions = 2 + rng.NextUint64() % 7;
+    for (std::uint64_t k = 0; k < substitutions; ++k) {
+      mutated[rng.NextUint64() % mutated.size()] =
+          static_cast<char>(rng.NextUint64() & 0xff);
+    }
+    if (rng.NextUint64() % 4 == 0) {
+      mutated.resize(rng.NextUint64() % mutated.size());
+    } else if (rng.NextUint64() % 8 == 0) {
+      for (std::uint64_t k = 1 + rng.NextUint64() % 16; k > 0; --k) {
+        mutated.push_back(static_cast<char>(rng.NextUint64() & 0xff));
+      }
+    }
+    RecoverAndAnswerEverything(stream(victim, mutated), dense, sparse_truth,
+                               "trial " + std::to_string(trial));
   }
 }
 

@@ -410,6 +410,101 @@ TEST(SparseRecoveryTest, SparseFingerprintMismatchSkipsStaleRelease) {
   EXPECT_EQ(rs.server->cache().size(), 0u);
 }
 
+// --- publish records that do not fit their dataset ---
+//
+// Queries are validated against the registered dataset and then read the
+// release unchecked, so a release that is shorter than its dataset, or of
+// the other representation, must never be installed — each record below
+// carries the dataset's own fingerprint and a valid CRC.
+
+// A fresh server holding a 1024-bin dense dataset and a 2^40-key sparse
+// one, recovered from a journal holding just `record`.
+RecoveredServer RecoverOneRecord(const JournalRecord& record) {
+  RecoveredServer rs;
+  rs.server = std::make_unique<ReleaseServer>(ReleaseServerOptions{});
+  EXPECT_TRUE(rs.server
+                  ->AddDataset({"acme", "clicks"}, ChaosTruth(1024, 1), 2.0)
+                  .ok());
+  EXPECT_TRUE(rs.server
+                  ->AddSparseDataset({"acme", "urls"}, SparseChaosTruth(),
+                                     2.0)
+                  .ok());
+  std::string bytes(JournalMagic());
+  bytes += EncodeJournalRecord(record);
+  auto replay = ReplayJournalBytes(bytes);
+  EXPECT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(replay.value().records.size(), 1u);
+  auto stats = rs.server->Recover(replay.value());
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  rs.stats = stats.value();
+  return rs;
+}
+
+JournalRecord PublishRecordFor(const TenantKey& key,
+                               std::uint64_t fingerprint,
+                               JournalRecord::Type type) {
+  JournalRecord record;
+  record.type = type;
+  record.key = key;
+  record.fingerprint = fingerprint;
+  record.publisher = type == JournalRecord::Type::kPublish ? "noise_first"
+                                                           : "sparse_pure";
+  record.epsilon = 0.5;
+  record.seed = 1;
+  return record;
+}
+
+TEST(RecoveryTest, ShortDenseRecordIsSkippedNotInstalled) {
+  const TenantKey acme{"acme", "clicks"};
+  JournalRecord record =
+      PublishRecordFor(acme, FingerprintHistogram(ChaosTruth(1024, 1)),
+                       JournalRecord::Type::kPublish);
+  record.counts = {1.0, 2.0, 3.0, 4.0};
+  auto recovered = RecoverOneRecord(record);
+  EXPECT_EQ(recovered.stats.releases_replayed, 0u);
+  EXPECT_EQ(recovered.stats.skipped, 1u);
+  EXPECT_EQ(recovered.server->cache().size(), 0u);
+  EXPECT_EQ(recovered.server->cache().NewestFor(acme, ""), nullptr);
+  BatchAnswer answer;
+  auto hit = recovered.server->TryAnswerCached(
+      acme, {{0, 1000}}, {"noise_first", 0.5, 1}, &answer);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_FALSE(hit.value());
+}
+
+TEST(SparseRecoveryTest, SmallDomainSparseRecordIsSkippedNotInstalled) {
+  const TenantKey urls{"acme", "urls"};
+  JournalRecord record = PublishRecordFor(
+      urls, sparse::FingerprintSparseHistogram(SparseChaosTruth()),
+      JournalRecord::Type::kPublishSparse);
+  record.domain = 16;
+  record.keys = {1, 5};
+  record.counts = {2.0, 3.0};
+  auto recovered = RecoverOneRecord(record);
+  EXPECT_EQ(recovered.stats.releases_replayed, 0u);
+  EXPECT_EQ(recovered.stats.skipped, 1u);
+  EXPECT_EQ(recovered.server->cache().size(), 0u);
+  BatchAnswer answer;
+  auto hit = recovered.server->TryAnswerCached(
+      urls, {{0, static_cast<std::size_t>(1ULL << 40)}},
+      {"sparse_pure", 0.5, 1}, &answer);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_FALSE(hit.value());
+}
+
+TEST(SparseRecoveryTest, DenseRecordForSparseNamespaceIsSkipped) {
+  const TenantKey urls{"acme", "urls"};
+  JournalRecord record = PublishRecordFor(
+      urls, sparse::FingerprintSparseHistogram(SparseChaosTruth()),
+      JournalRecord::Type::kPublish);
+  record.counts.assign(16, 1.0);
+  auto recovered = RecoverOneRecord(record);
+  EXPECT_EQ(recovered.stats.releases_replayed, 0u);
+  EXPECT_EQ(recovered.stats.skipped, 1u);
+  EXPECT_EQ(recovered.server->cache().size(), 0u);
+  EXPECT_EQ(recovered.server->cache().NewestFor(urls, ""), nullptr);
+}
+
 #if defined(DPHIST_FAILPOINTS)
 
 using ::dphist::testing::FailpointConfig;

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dphist/algorithms/registry.h"
 #include "dphist/common/thread_pool.h"
 #include "dphist/hist/histogram.h"
 #include "dphist/net/client.h"
@@ -29,6 +30,7 @@
 #include "dphist/net/wire_codec.h"
 #include "dphist/obs/obs.h"
 #include "dphist/query/range_query.h"
+#include "dphist/random/rng.h"
 #include "dphist/serve/journal.h"
 #include "dphist/serve/release_cache.h"
 #include "dphist/serve/release_server.h"
@@ -166,6 +168,7 @@ TEST(SealedReleaseTest, ConcurrentEncodedFrameCallersShareOneEncode) {
 TEST(SealedReleaseTest, RangeSumMatchesHistogramAfterSealing) {
   const Histogram truth = TestTruth();
   SealedRelease release(ReleaseKey{}, truth);
+  EXPECT_EQ(release.size(), truth.size());
   for (std::size_t begin = 0; begin < truth.size(); begin += 7) {
     for (std::size_t end = begin + 1; end <= truth.size(); end += 5) {
       EXPECT_DOUBLE_EQ(release.RangeSum(begin, end),
@@ -212,26 +215,43 @@ TEST(HttpSerializeTest, ResponseHeadAppendsSerializeResponseHead) {
 // --- frame identity and invalidation over the wire ---
 
 TEST(ServeFastTest, CachedFrameBytesIdenticalToFreshEncodeBothCodecs) {
-  // Same release requested from a frame-caching server (second answer is
-  // the memoized frame) and from a cache-off server (every answer freshly
-  // encoded): all bodies must be byte-identical — publishers are
-  // deterministic in (histogram, epsilon, seed).
-  NetServerOptions cached_options;
-  cached_options.encoded_cache = true;
-  NetServerOptions fresh_options;
-  fresh_options.encoded_cache = false;
-  TestStack cached(2, cached_options);
-  TestStack fresh(2, fresh_options);
+  // The same release requested cold (published and encoded by a worker),
+  // hot (the memoized frame off the fast lane) and from a handler_hook
+  // server (every request dispatched) must be byte-identical, in both
+  // codecs, to a direct publish encoded here with the wire codec —
+  // publishers are deterministic in (histogram, epsilon, seed).
   const WireQueryRequest query = TestQuery();
+  auto publisher = PublisherRegistry::Make(query.request.publisher);
+  ASSERT_TRUE(publisher.ok()) << publisher.status().ToString();
+  Rng rng(query.request.seed);
+  auto direct =
+      publisher.value()->Publish(TestTruth(), query.request.epsilon, rng);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  WireHistogram reference;
+  reference.key = {"default", "default", FingerprintHistogram(TestTruth()),
+                   query.request.publisher, query.request.epsilon,
+                   query.request.seed};
+  reference.counts = direct.value().counts();
+
+  TestStack cached(2);
+  NetServerOptions dispatch_options;
+  dispatch_options.handler_hook = [] {};
+  TestStack dispatched(2, dispatch_options);
   for (const bool binary : {true, false}) {
     auto cold = cached.ReleaseBody(query, binary);
     auto hot = cached.ReleaseBody(query, binary);
-    auto uncached = fresh.ReleaseBody(query, binary);
+    auto dispatched_cold = dispatched.ReleaseBody(query, binary);
+    auto dispatched_hot = dispatched.ReleaseBody(query, binary);
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
     ASSERT_TRUE(hot.ok()) << hot.status().ToString();
-    ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
-    EXPECT_EQ(cold.value(), hot.value());
-    EXPECT_EQ(cold.value(), uncached.value());
+    ASSERT_TRUE(dispatched_cold.ok()) << dispatched_cold.status().ToString();
+    ASSERT_TRUE(dispatched_hot.ok()) << dispatched_hot.status().ToString();
+    const std::string fresh = binary ? EncodeHistogram(reference)
+                                     : EncodeHistogramJson(reference);
+    EXPECT_EQ(cold.value(), fresh);
+    EXPECT_EQ(hot.value(), fresh);
+    EXPECT_EQ(dispatched_cold.value(), fresh);
+    EXPECT_EQ(dispatched_hot.value(), fresh);
   }
 }
 
@@ -345,23 +365,27 @@ TEST(ServeFastTest, RecoveredReleaseServesIdenticalFrameBytes) {
 // --- fast lane vs dispatched path ---
 
 TEST(ServeFastTest, FastLaneAnswersBitIdenticalToDispatchedPath) {
-  NetServerOptions cached_options;
-  cached_options.encoded_cache = true;
+  // The reference server's handler_hook sends every request, hot ones
+  // included, to a worker.
   NetServerOptions dispatch_options;
-  dispatch_options.encoded_cache = false;
-  TestStack cached(4, cached_options);
+  dispatch_options.handler_hook = [] {};
+  TestStack cached(4);
   TestStack dispatched(4, dispatch_options);
   const WireQueryRequest query = TestQuery();
   for (const bool binary : {true, false}) {
     auto cold = cached.Query(query, binary);     // publishes, dispatched
     auto hot = cached.Query(query, binary);      // inline fast lane
-    auto reference = dispatched.Query(query, binary);
+    auto reference_cold = dispatched.Query(query, binary);
+    auto reference_hot = dispatched.Query(query, binary);
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
     ASSERT_TRUE(hot.ok()) << hot.status().ToString();
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_TRUE(reference_cold.ok()) << reference_cold.status().ToString();
+    ASSERT_TRUE(reference_hot.ok()) << reference_hot.status().ToString();
     EXPECT_EQ(cold.value().answers, hot.value().answers);
-    EXPECT_EQ(cold.value().answers, reference.value().answers);
+    EXPECT_EQ(cold.value().answers, reference_cold.value().answers);
+    EXPECT_EQ(hot.value().answers, reference_hot.value().answers);
     EXPECT_TRUE(hot.value().cache_hit);
+    EXPECT_TRUE(reference_hot.value().cache_hit);
   }
 }
 
@@ -427,8 +451,10 @@ TEST(ServeFastTest, LookupServingCountsHitsButNeverMisses) {
   EXPECT_EQ(cache.LookupServing(key), nullptr);
   EXPECT_EQ(hits.value(), hits0);    // a null lookup is not a hit
   EXPECT_EQ(misses.value(), misses0);  // ... and not a miss either
-  auto published = cache.GetOrPublish(
-      key, [] { return Result<Histogram>(TestTruth()); });
+  auto published = cache.GetOrPublish(key, [&key] {
+    return Result<std::shared_ptr<SealedRelease>>(
+        std::make_shared<SealedRelease>(key, TestTruth()));
+  });
   ASSERT_TRUE(published.ok());
   const std::uint64_t misses1 = misses.value();
   EXPECT_NE(cache.LookupServing(key), nullptr);

@@ -50,9 +50,10 @@ TEST(FingerprintTest, DistinguishesHistograms) {
   EXPECT_NE(FingerprintHistogram(a), FingerprintHistogram(c));
 }
 
+// A cached release is a SealedRelease keyed by its request.
 TEST(CachedReleaseTest, RangeSumMatchesHistogram) {
   const Histogram truth = TestTruth(32);
-  CachedRelease release(Key(1, "direct", 0.5, 7), truth);
+  SealedRelease release(Key(1, "direct", 0.5, 7), truth);
   EXPECT_EQ(release.size(), truth.size());
   for (std::size_t begin = 0; begin < truth.size(); begin += 5) {
     for (std::size_t end = begin + 1; end <= truth.size(); end += 7) {
@@ -67,20 +68,23 @@ TEST(ReleaseCacheTest, GetOrPublishPublishesOncePerKey) {
   ReleaseCache cache;
   const ReleaseKey key = Key(42, "noise_first", 0.1, 1);
   int publishes = 0;
-  auto publish = [&]() -> Result<Histogram> {
-    ++publishes;
-    return Histogram({1, 2, 3});
+  auto publish = [&](const ReleaseKey& k) {
+    return [&, k]() -> Result<std::shared_ptr<SealedRelease>> {
+      ++publishes;
+      return std::make_shared<SealedRelease>(k, Histogram({1, 2, 3}));
+    };
   };
-  auto first = cache.GetOrPublish(key, publish);
+  auto first = cache.GetOrPublish(key, publish(key));
   ASSERT_TRUE(first.ok());
-  auto second = cache.GetOrPublish(key, publish);
+  auto second = cache.GetOrPublish(key, publish(key));
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(publishes, 1);
   EXPECT_EQ(first.value().get(), second.value().get());
   EXPECT_EQ(cache.size(), 1u);
 
   // A different key publishes separately.
-  auto other = cache.GetOrPublish(Key(42, "noise_first", 0.1, 2), publish);
+  const ReleaseKey other_key = Key(42, "noise_first", 0.1, 2);
+  auto other = cache.GetOrPublish(other_key, publish(other_key));
   ASSERT_TRUE(other.ok());
   EXPECT_EQ(publishes, 2);
   EXPECT_EQ(cache.size(), 2u);
@@ -89,7 +93,7 @@ TEST(ReleaseCacheTest, GetOrPublishPublishesOncePerKey) {
 TEST(ReleaseCacheTest, FailedPublishCachesNothingAndAllowsRetry) {
   ReleaseCache cache;
   const ReleaseKey key = Key(7, "p", 0.1, 1);
-  auto failing = [&]() -> Result<Histogram> {
+  auto failing = [&]() -> Result<std::shared_ptr<SealedRelease>> {
     return Status::ResourceExhausted("no budget");
   };
   auto refused = cache.GetOrPublish(key, failing);
@@ -98,27 +102,33 @@ TEST(ReleaseCacheTest, FailedPublishCachesNothingAndAllowsRetry) {
   EXPECT_EQ(cache.Lookup(key), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 
-  auto retried = cache.GetOrPublish(
-      key, [&]() -> Result<Histogram> { return Histogram({9}); });
+  auto retried =
+      cache.GetOrPublish(key, [&]() -> Result<std::shared_ptr<SealedRelease>> {
+        return std::make_shared<SealedRelease>(key, Histogram({9}));
+      });
   ASSERT_TRUE(retried.ok());
   EXPECT_NE(cache.Lookup(key), nullptr);
 }
 
 TEST(ReleaseCacheTest, NewestForOrdersBySequenceAndFiltersPublisher) {
   ReleaseCache cache;
-  auto publish = [](double v) {
-    return [v]() -> Result<Histogram> { return Histogram({v}); };
-  };
   const TenantKey ns{"default", "d1"};
   const TenantKey other_ns{"default", "d2"};
-  auto key = [](const TenantKey& k, std::string publisher, double epsilon) {
-    return ReleaseKey{k.tenant, k.dataset, 1, std::move(publisher), epsilon,
-                      1};
+  // Publishes a one-bin release holding `v` under (namespace, publisher,
+  // epsilon).
+  auto publish = [&cache](const TenantKey& k, std::string publisher,
+                          double epsilon, double v) {
+    const ReleaseKey key{k.tenant, k.dataset, 1, std::move(publisher),
+                         epsilon, 1};
+    return cache.GetOrPublish(
+        key, [&key, v]() -> Result<std::shared_ptr<SealedRelease>> {
+          return std::make_shared<SealedRelease>(key, Histogram({v}));
+        });
   };
-  ASSERT_TRUE(cache.GetOrPublish(key(ns, "nf", 0.1), publish(1)).ok());
-  ASSERT_TRUE(cache.GetOrPublish(key(ns, "dwork", 0.1), publish(2)).ok());
-  ASSERT_TRUE(cache.GetOrPublish(key(ns, "nf", 0.2), publish(3)).ok());
-  ASSERT_TRUE(cache.GetOrPublish(key(other_ns, "nf", 0.1), publish(4)).ok());
+  ASSERT_TRUE(publish(ns, "nf", 0.1, 1).ok());
+  ASSERT_TRUE(publish(ns, "dwork", 0.1, 2).ok());
+  ASSERT_TRUE(publish(ns, "nf", 0.2, 3).ok());
+  ASSERT_TRUE(publish(other_ns, "nf", 0.1, 4).ok());
 
   auto newest_nf = cache.NewestFor(ns, "nf");
   ASSERT_NE(newest_nf, nullptr);
@@ -244,7 +254,7 @@ TEST(ReleaseServerTest, CacheHitAnswersWithZeroPublisherInvocations) {
   obs::Registry::Global().Reset();
 }
 
-TEST(ReleaseServerTest, BudgetRefusalDegradesToNewestCachedRelease) {
+TEST(ReleaseServerTest, BudgetRefusalDegradesToNewestSealedRelease) {
   const Histogram truth = TestTruth();
   ReleaseServer server(truth, /*total_epsilon=*/0.25);
   Rng workload_rng(41);
@@ -432,7 +442,7 @@ TEST(ReleaseServerPrepareTest, RacingFirstPublishesBuildTheTableOnce) {
       obs::Registry::Global().GetCounter("interval_cost/builds");
   constexpr std::size_t kThreads = 4;
   std::latch start(kThreads);
-  std::vector<Result<std::shared_ptr<const CachedRelease>>> released(
+  std::vector<Result<std::shared_ptr<const SealedRelease>>> released(
       kThreads, Status::Internal("not run"));
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {

@@ -32,6 +32,12 @@ Histogram CanonicalRelease(const ReleaseKey& key) {
                     static_cast<double>(key.dataset_fingerprint)});
 }
 
+// The publish callback: the key's canonical release, sealed.
+Result<std::shared_ptr<SealedRelease>> PublishCanonical(
+    const ReleaseKey& key) {
+  return std::make_shared<SealedRelease>(key, CanonicalRelease(key));
+}
+
 ReleaseKey KeyFor(std::size_t tenant, std::size_t dataset,
                   std::size_t seed) {
   return ReleaseKey{"tenant" + std::to_string(tenant),
@@ -68,9 +74,8 @@ TEST(ShardedCacheTest, ConcurrentMixedOpsMatchSingleThreadedReference) {
                                       next() % kSeeds);
         switch (next() % 4) {
           case 0: {  // publish (or hit)
-            auto release = cache.GetOrPublish(key, [&]() -> Result<Histogram> {
-              return CanonicalRelease(key);
-            });
+            auto release = cache.GetOrPublish(
+                key, [&] { return PublishCanonical(key); });
             if (!release.ok() ||
                 release.value()->histogram().counts() !=
                     CanonicalRelease(key).counts()) {
@@ -118,12 +123,10 @@ TEST(ShardedCacheTest, ConcurrentMixedOpsMatchSingleThreadedReference) {
     for (std::size_t dataset = 0; dataset < kDatasets; ++dataset) {
       for (std::size_t seed = 0; seed < kSeeds; ++seed) {
         const ReleaseKey key = KeyFor(tenant, dataset, seed);
-        auto contended = cache.GetOrPublish(key, [&]() -> Result<Histogram> {
-          return CanonicalRelease(key);
-        });
-        auto fresh = reference.GetOrPublish(key, [&]() -> Result<Histogram> {
-          return CanonicalRelease(key);
-        });
+        auto contended =
+            cache.GetOrPublish(key, [&] { return PublishCanonical(key); });
+        auto fresh =
+            reference.GetOrPublish(key, [&] { return PublishCanonical(key); });
         ASSERT_TRUE(contended.ok());
         ASSERT_TRUE(fresh.ok());
         EXPECT_EQ(contended.value()->histogram().counts(),
@@ -148,12 +151,9 @@ TEST(ShardedCacheTest, ShardCountsProduceIdenticalContents) {
     for (std::size_t seed = 0; seed < 7; ++seed) {
       const ReleaseKey key = KeyFor(tenant, tenant % 2, seed);
       for (auto& cache : caches) {
-        ASSERT_TRUE(cache
-                        ->GetOrPublish(key,
-                                       [&]() -> Result<Histogram> {
-                                         return CanonicalRelease(key);
-                                       })
-                        .ok());
+        ASSERT_TRUE(
+            cache->GetOrPublish(key, [&] { return PublishCanonical(key); })
+                .ok());
       }
     }
   }
@@ -180,42 +180,36 @@ TEST(ShardedCacheTest, EvictRemovesOnlyReadyEntries) {
   ReleaseCache cache;
   const ReleaseKey key = KeyFor(0, 0, 0);
   EXPECT_FALSE(cache.Evict(key));  // nothing there
-  ASSERT_TRUE(cache
-                  .GetOrPublish(key,
-                                [&]() -> Result<Histogram> {
-                                  return CanonicalRelease(key);
-                                })
-                  .ok());
+  ASSERT_TRUE(
+      cache.GetOrPublish(key, [&] { return PublishCanonical(key); }).ok());
   EXPECT_TRUE(cache.Evict(key));
   EXPECT_EQ(cache.Lookup(key), nullptr);
   EXPECT_FALSE(cache.Evict(key));  // already gone
   EXPECT_EQ(cache.size(), 0u);
 
   // Publish-after-evict works (the retry contract).
-  ASSERT_TRUE(cache
-                  .GetOrPublish(key,
-                                [&]() -> Result<Histogram> {
-                                  return CanonicalRelease(key);
-                                })
-                  .ok());
+  ASSERT_TRUE(
+      cache.GetOrPublish(key, [&] { return PublishCanonical(key); }).ok());
   EXPECT_NE(cache.Lookup(key), nullptr);
 }
 
 TEST(ShardedCacheTest, RestorePublishedIsIdempotent) {
   ReleaseCache cache;
   const ReleaseKey key = KeyFor(1, 1, 1);
-  auto first = cache.RestorePublished(key, CanonicalRelease(key));
+  auto first = cache.RestorePublished(
+      std::make_shared<SealedRelease>(key, CanonicalRelease(key)));
   ASSERT_NE(first, nullptr);
   // Replaying the same record again must return the SAME release object
   // and not bump the size — replay-twice safety.
-  auto second = cache.RestorePublished(key, CanonicalRelease(key));
+  auto second = cache.RestorePublished(
+      std::make_shared<SealedRelease>(key, CanonicalRelease(key)));
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(cache.size(), 1u);
   // And a normal GetOrPublish hits the restored entry without publishing.
   bool published = false;
-  auto got = cache.GetOrPublish(key, [&]() -> Result<Histogram> {
+  auto got = cache.GetOrPublish(key, [&] {
     published = true;
-    return CanonicalRelease(key);
+    return PublishCanonical(key);
   });
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(published);

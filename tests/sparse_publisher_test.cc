@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -310,6 +311,28 @@ TEST(SparsePublisherValidationTest, RejectsInvalidArguments) {
     auto negative_eps = publisher->Publish(valid, -1.0, rng);
     ASSERT_FALSE(negative_eps.ok()) << publisher->name();
     EXPECT_EQ(negative_eps.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(SparsePublisherValidationTest, RejectsNonFiniteCounts) {
+  // The dense publishers' rule: a NaN or infinite count would release an
+  // infinite count and a NaN total, so both sparse publishers refuse it
+  // typed, naming the key.
+  SparsePurePublisher pure;
+  UnknownDomainPublisher unknown;
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    const SparseHistogram truth = MustCreate(100, {{1, 2.0}, {7, bad}});
+    for (const SparseHistogramPublisher* publisher :
+         {static_cast<const SparseHistogramPublisher*>(&pure),
+          static_cast<const SparseHistogramPublisher*>(&unknown)}) {
+      Rng rng(1);
+      auto released = publisher->Publish(truth, 1.0, rng);
+      ASSERT_FALSE(released.ok()) << publisher->name() << " " << bad;
+      EXPECT_EQ(released.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(released.status().message().find("count of key 7 is"),
+                std::string::npos)
+          << released.status().ToString();
+    }
   }
 }
 

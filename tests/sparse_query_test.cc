@@ -54,14 +54,14 @@ TEST(SparseQueryTest, ValidationMirrorsDenseContract) {
   const sparse::SparseHistogram histogram = MustCreate(100, {{5, 1.0}});
   // Valid workload passes.
   EXPECT_TRUE(
-      ValidateSparseQueries({{0, 100}, {5, 6}, {99, 100}}, 100).ok());
+      ValidateQueries({{0, 100}, {5, 6}, {99, 100}}, 100).ok());
   // Empty, inverted, and out-of-domain queries fail loudly — never
   // clamped, never swapped, never dropped.
   for (const RangeQuery bad : {RangeQuery{5, 5},     // empty
                                RangeQuery{7, 3},     // inverted
                                RangeQuery{0, 101}})  // past the domain
   {
-    const Status status = ValidateSparseQueries({bad}, 100);
+    const Status status = ValidateQueries({bad}, 100);
     ASSERT_FALSE(status.ok()) << "[" << bad.begin << ", " << bad.end << ")";
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     auto answers = AnswerQueriesSparse(histogram, {bad});

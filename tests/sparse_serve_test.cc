@@ -5,6 +5,7 @@
 // replaying exactly-once through Recover, and the sparse release frame
 // served over a real loopback socket.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -123,7 +124,32 @@ TEST(SparseServeTest, DensePublisherOnSparseDatasetIsNotFound) {
   EXPECT_EQ(release.status().code(), StatusCode::kNotFound);
 }
 
-TEST(SparseServeTest, BudgetRefusalDegradesToNewestCachedRelease) {
+TEST(SparseServeTest, NonFiniteCountsAreRefusedBeforeAnyCharge) {
+  // The one registration path refuses NaN and infinite counts for sparse
+  // datasets as it does for dense ones, before any ledger exists: the
+  // namespace stays unknown and no request can charge it.
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    ReleaseServer server;
+    auto truth = sparse::SparseHistogram::Create(
+        1ULL << 40, {{5, 30.0}, {1ULL << 39, bad}});
+    ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    const Status added = server.AddSparseDataset(
+        {"default", "default"}, std::move(truth).value(), 10.0);
+    ASSERT_FALSE(added.ok());
+    EXPECT_EQ(added.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(added.message().find("count of key " +
+                                   std::to_string(1ULL << 39) + " is"),
+              std::string::npos)
+        << added.ToString();
+    EXPECT_EQ(server.dataset_count(), 0u);
+    auto release = server.GetRelease(SparseRequest());
+    ASSERT_FALSE(release.ok());
+    EXPECT_EQ(release.status().code(), StatusCode::kNotFound);
+    EXPECT_FALSE(server.LedgerFor({"default", "default"}).ok());
+  }
+}
+
+TEST(SparseServeTest, BudgetRefusalDegradesToNewestSealedRelease) {
   ReleaseServer server;
   ASSERT_TRUE(
       server.AddSparseDataset({"default", "default"}, TestTruth(), 1.5).ok());

@@ -177,15 +177,17 @@ TEST(ThreadSafetyTest, ReleaseCachePublishesExactlyOnceUnderContention) {
                                 static_cast<std::uint64_t>(round), "nf", 0.5,
                                 1};
     std::atomic<int> publishes{0};
-    std::vector<std::shared_ptr<const serve::CachedRelease>> got(kThreads);
+    std::vector<std::shared_ptr<const serve::SealedRelease>> got(kThreads);
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t]() {
-        auto release = cache.GetOrPublish(key, [&]() -> Result<Histogram> {
-          publishes.fetch_add(1, std::memory_order_relaxed);
-          return Histogram({1, 2, 3});
-        });
+        auto release = cache.GetOrPublish(
+            key, [&]() -> Result<std::shared_ptr<serve::SealedRelease>> {
+              publishes.fetch_add(1, std::memory_order_relaxed);
+              return std::make_shared<serve::SealedRelease>(
+                  key, Histogram({1, 2, 3}));
+            });
         if (release.ok()) {
           got[t] = release.value();
         }

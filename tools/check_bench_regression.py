@@ -50,10 +50,8 @@ ID_FIELDS = {
     "mode", "batches", "distinct_releases", "batch_size", "shards",
     "records",
     # bench_serve_net identity fields: concurrency, wire codec, and
-    # whether the serve-path fast lane (pre-encoded frame cache) was on —
-    # the on/off rows are separate A/B cells gated against their own
-    # baselines.
-    "clients", "codec", "encoded_cache", "pipeline",
+    # pipeline depth.
+    "clients", "codec", "pipeline",
     # bench_micro noise-model sweep: which sampling construction the row
     # measured. A baseline captured without this field can never match a
     # fresh row that has it — the per-bench empty-intersection check below
