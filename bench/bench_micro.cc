@@ -3,11 +3,13 @@
 // substrates, not paper figures.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "dphist/obs/export.h"
 #include "dphist/hist/interval_cost.h"
 #include "dphist/hist/vopt_dp.h"
+#include "dphist/net/wire_codec.h"
 #include "dphist/privacy/budget.h"
 #include "dphist/privacy/exponential_mechanism.h"
 #include "dphist/random/distributions.h"
@@ -486,10 +489,101 @@ void RunSparseRangeSumTable(dphist_bench::BenchJsonWriter& json) {
   }
 }
 
+// The M1 JSON table: the median wall time of the JSON lane's kernels on
+// noisy counts (a count in [0, 2000) plus Laplace noise of scale 10, the
+// shape of NoiseFirst's answers) — ns per number for the digits writer
+// and for std::to_chars(general, 17), the reference it matches byte for
+// byte; and us per 64-answer JSON batch-answer body written in place, and
+// per 64-query JSON query request decoded into a reused view, as the
+// event loop does both.
+void RunJsonTable(dphist_bench::BenchJsonWriter& json) {
+  constexpr std::size_t kNumbers = 65536;
+  constexpr std::size_t kBodies = 4096;
+  constexpr std::size_t kBatch = 64;
+  dphist::Rng rng(17);
+  std::vector<double> values(kNumbers);
+  for (double& value : values) {
+    value = static_cast<double>(rng.NextUint64() % 2000) +
+            dphist::SampleLaplace(rng, 10.0);
+  }
+  const std::size_t reps = dphist_bench::Repetitions();
+  std::printf("\n-- m1_json: ns per number, us per 64-entry body --\n");
+  const auto add_row = [&json](const char* algo, std::size_t n,
+                               double median, double unit_ns) {
+    std::printf("%-20s %8.1f %s\n", algo,
+                median * 1e6 / static_cast<double>(n) / unit_ns,
+                unit_ns == 1.0 ? "ns" : "us");
+    json.AddRow(json.Row()
+                    .Str("fig", "m1_json")
+                    .Str("algo", algo)
+                    .Num("n", static_cast<double>(n))
+                    .Num("sweep_ms", median));
+  };
+  char buffer[64];
+  for (const bool reference : {false, true}) {
+    const double median = MedianMs(reps, [&] {
+      std::size_t bytes = 0;
+      for (const double value : values) {
+        bytes += static_cast<std::size_t>(
+            (reference ? std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                       std::chars_format::general, 17)
+                             .ptr
+                       : dphist::obs::WriteJsonDouble(buffer, value)) -
+            buffer);
+        benchmark::DoNotOptimize(buffer);
+        benchmark::ClobberMemory();
+      }
+      benchmark::DoNotOptimize(bytes);
+    });
+    add_row(reference ? "to_chars_general17" : "json_digits", kNumbers,
+            median, 1.0);
+  }
+
+  const dphist::serve::ReleaseKey served{"bench", "nettrace", 1234567890123,
+                                         "noise_first", 0.1, 42};
+  std::string body;
+  const double encode_median = MedianMs(reps, [&] {
+    for (std::size_t b = 0; b < kBodies; ++b) {
+      body.clear();
+      dphist::net::AppendBatchAnswerJson(
+          body,
+          std::span<const double>(values).subspan((b * kBatch) % kNumbers,
+                                                  kBatch),
+          false, true, served);
+      benchmark::DoNotOptimize(body.data());
+      benchmark::ClobberMemory();
+    }
+  });
+  add_row("encode_answer_json_64", kBodies, encode_median, 1e3);
+
+  std::vector<std::string> requests;
+  for (std::size_t r = 0; r < 64; ++r) {
+    dphist::net::WireQueryRequest request;
+    request.tenant = "bench";
+    request.dataset = "nettrace";
+    request.request = {"noise_first", 0.1, r};
+    for (std::size_t q = 0; q < kBatch; ++q) {
+      const std::size_t begin = rng.NextUint64() % 1024;
+      request.queries.push_back(
+          {begin, begin + 1 + rng.NextUint64() % (1024 - begin)});
+    }
+    requests.push_back(dphist::net::EncodeQueryRequestJson(request));
+  }
+  dphist::net::QueryRequestView view;
+  const double decode_median = MedianMs(reps, [&] {
+    for (std::size_t b = 0; b < kBodies; ++b) {
+      auto decoded = dphist::net::DecodeQueryRequestJson(
+          requests[b % requests.size()], &view);
+      benchmark::DoNotOptimize(decoded.ok());
+    }
+  });
+  add_row("decode_request_json_64", kBodies, decode_median, 1e3);
+}
+
 }  // namespace
 
 // Custom main (instead of benchmark_main) so the strategy, cost-build,
-// noise, CRC-32 and sparse range-sum tables run and the obs registry
+// noise, CRC-32, sparse range-sum and JSON tables run and the obs registry
 // snapshot — solver counters, interval-cost build stats, draw counts — is
 // exported after the benchmarks (BenchJsonWriter::Finish handles the
 // DPHIST_OBS_OUT export).
@@ -506,6 +600,7 @@ int main(int argc, char** argv) {
   RunNoiseBatchTable(json);
   RunCrc32Table(json);
   RunSparseRangeSumTable(json);
+  RunJsonTable(json);
   json.Finish();
   return 0;
 }

@@ -84,7 +84,7 @@ double IntervalCostTable::SquaredCostOf(std::size_t begin,
 void IntervalCostTable::BuildAbsoluteMatrix(const std::vector<double>& counts,
                                             const Options& options) {
   const std::size_t m = positions_.size();
-  absolute_costs_.assign(m * (m - 1) / 2, 0.0);
+  absolute_costs_ = MappedDoubles(m * (m - 1) / 2);
   // Bulk-counted (one Add per build): the cells the Fenwick sweeps fill.
   static obs::Counter& absolute_cells =
       obs::Registry::Global().GetCounter("interval_cost/absolute_cells");

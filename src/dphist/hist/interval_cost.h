@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "dphist/common/mapped_doubles.h"
 #include "dphist/common/parallel_defaults.h"
 #include "dphist/common/result.h"
 #include "dphist/common/status.h"
@@ -131,9 +132,11 @@ class IntervalCostTable {
   // Prefix sums over unit bins: sums_[i] = sum counts[0..i).
   std::vector<double> sums_;
   std::vector<double> squares_;
-  // Packed a < b triangle, column-major by end candidate (see AbsoluteAt).
-  // Empty when kind == kSquared.
-  std::vector<double> absolute_costs_;
+  // Packed a < b triangle, column-major by end candidate (see AbsoluteAt),
+  // in pages of its own: a prepared StructureFirst keeps it for its
+  // dataset's lifetime, and a destroyed one returns it to the OS. Empty
+  // when kind == kSquared.
+  MappedDoubles absolute_costs_;
 };
 
 }  // namespace dphist

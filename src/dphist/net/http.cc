@@ -264,6 +264,33 @@ void ResponseHead::Append(std::string& out, std::size_t body_len) const {
   out.append("\r\n\r\n");
 }
 
+ResponseHead::BodyMark ResponseHead::BeginBody(
+    std::string& out, std::size_t max_body_len) const {
+  char digits[24];
+  const std::to_chars_result written =
+      std::to_chars(digits, digits + sizeof(digits), max_body_len);
+  out.append(prefix_);
+  const BodyMark mark{out.size(),
+                      static_cast<std::size_t>(written.ptr - digits)};
+  out.append(mark.length_digits, '0');
+  out.append("\r\n\r\n");
+  return mark;
+}
+
+void ResponseHead::EndBody(std::string& out, BodyMark mark) const {
+  const std::size_t body_at = mark.length_at + mark.length_digits + 4;
+  char digits[24];
+  const std::to_chars_result written = std::to_chars(
+      digits, digits + sizeof(digits), out.size() - body_at);
+  const auto length = static_cast<std::size_t>(written.ptr - digits);
+  if (length < mark.length_digits) {
+    out.erase(mark.length_at, mark.length_digits - length);
+  } else if (length > mark.length_digits) {
+    out.insert(mark.length_at, length - mark.length_digits, '0');
+  }
+  out.replace(mark.length_at, length, digits, length);
+}
+
 std::string_view ReasonPhrase(int status) {
   switch (status) {
     case 200:

@@ -127,6 +127,24 @@ class ResponseHead {
 
   void Append(std::string& out, std::size_t body_len) const;
 
+  /// Where a body written in place behind its head begins, and the room
+  /// left for its length.
+  struct BodyMark {
+    std::size_t length_at = 0;
+    std::size_t length_digits = 0;
+  };
+
+  /// For a body written straight into `out` after the head: appends the
+  /// head with room for the length of a body of at most `max_body_len`
+  /// bytes. Append the body, then call `EndBody`.
+  BodyMark BeginBody(std::string& out, std::size_t max_body_len) const;
+
+  /// Fills in the length of the body appended since `BeginBody`, moving
+  /// the body when its length has another number of digits than the
+  /// bound's, so `out` ends exactly as `Append(out, body_len)` plus the
+  /// body would.
+  void EndBody(std::string& out, BodyMark mark) const;
+
  private:
   std::string prefix_;  // status line + headers through "content-length: "
 };

@@ -132,14 +132,10 @@ void AppendAnswerResponse(std::string& out, bool binary, bool close,
     AppendBatchAnswer(out, answers, stale, cache_hit, served);
     return;
   }
-  WireBatchAnswer answer;
-  answer.answers.assign(answers.begin(), answers.end());
-  answer.stale = stale;
-  answer.cache_hit = cache_hit;
-  answer.served = served;
-  const std::string body = EncodeBatchAnswerJson(answer);
-  head.Append(out, body.size());
-  out += body;
+  const ResponseHead::BodyMark mark =
+      head.BeginBody(out, BatchAnswerJsonSizeBound(served, answers.size()));
+  AppendBatchAnswerJson(out, answers, stale, cache_hit, served);
+  head.EndBody(out, mark);
 }
 
 // Like BuildResponse, but the body stays a shared immutable frame: only
@@ -207,10 +203,10 @@ std::shared_ptr<const std::string> ReleaseFrame(
 // is released after that request.
 constexpr std::size_t kScratchEntries = 4096;
 
-template <typename T>
-void TrimScratch(std::vector<T>& scratch) {
+template <typename Container>
+void TrimScratch(Container& scratch) {
   if (scratch.capacity() > kScratchEntries) {
-    std::vector<T>().swap(scratch);
+    Container().swap(scratch);
   }
 }
 
@@ -284,7 +280,7 @@ struct NetServer::Impl {
 
   // --- the loop's decode and answer scratch (event-loop thread only),
   // reused across requests so the fast lane allocates nothing once warm ---
-  QueryRequestView query_view;        // a binary request, read in place
+  QueryRequestView query_view;        // a request, read in place
   serve::TenantKey query_key;         // the decoded request's namespace
   serve::ServeRequest query_request;  // ... and release
   serve::BatchAnswer fast_answer;     // fast-lane answers
@@ -452,46 +448,30 @@ struct NetServer::Impl {
     return conn.outq.back().head;
   }
 
-  // Decodes a query endpoint's body into the loop's scratch: a binary
-  // frame in place into `query_view`, JSON into `*json`. Sets `query_key`
-  // and `query_request`; the queries are `query_view.queries` (binary) or
-  // `json->queries` (JSON). Errors are the codec's, and a message of
-  // another type is kInvalidArgument.
-  Status DecodeQuery(const std::string& body, bool binary,
-                     WireQueryRequest* json) {
-    auto wrong_type = [] {
-      return Status::InvalidArgument(
-          "endpoint expects a query_request message");
-    };
-    if (binary) {
-      auto decoded = DecodeQueryRequest(body, &query_view);
-      if (!decoded.ok()) {
-        return decoded.status();
-      }
-      if (!decoded.value()) {
-        // Another message type: a malformed one keeps the full decoder's
-        // error, a well-formed one is the wrong message for this endpoint.
-        const auto other = DecodeFrame(body);
-        return other.ok() ? wrong_type() : other.status();
-      }
-      query_key.tenant.assign(query_view.tenant);
-      query_key.dataset.assign(query_view.dataset);
-      query_request.publisher.assign(query_view.publisher);
-      query_request.epsilon = query_view.epsilon;
-      query_request.seed = query_view.seed;
-      return Status::Ok();
-    }
-    auto decoded = DecodeJson(body);
+  // Decodes a query endpoint's body in place into `query_view`, a binary
+  // frame or a JSON body alike, and sets `query_key` and `query_request`
+  // from it. Errors are the codec's, and a message of another type is
+  // kInvalidArgument.
+  Status DecodeQuery(const std::string& body, bool binary) {
+    auto decoded = binary ? DecodeQueryRequest(body, &query_view)
+                          : DecodeQueryRequestJson(body, &query_view);
     if (!decoded.ok()) {
       return decoded.status();
     }
-    if (decoded.value().type != WireType::kQueryRequest) {
-      return wrong_type();
+    if (!decoded.value()) {
+      // Another message type: a malformed one keeps the full decoder's
+      // error, a well-formed one is the wrong message for this endpoint.
+      const Status other =
+          binary ? DecodeFrame(body).status() : DecodeJson(body).status();
+      return other.ok() ? Status::InvalidArgument(
+                              "endpoint expects a query_request message")
+                        : other;
     }
-    *json = std::move(decoded.value().query_request);
-    query_key.tenant = json->tenant;
-    query_key.dataset = json->dataset;
-    query_request = json->request;
+    query_key.tenant.assign(query_view.tenant);
+    query_key.dataset.assign(query_view.dataset);
+    query_request.publisher.assign(query_view.publisher);
+    query_request.epsilon = query_view.epsilon;
+    query_request.seed = query_view.seed;
     return Status::Ok();
   }
 
@@ -541,15 +521,13 @@ struct NetServer::Impl {
                   binary, close));
       return;
     }
-    WireQueryRequest json_request;
-    const Status decoded = DecodeQuery(request.body, binary, &json_request);
+    const Status decoded = DecodeQuery(request.body, binary);
     if (!decoded.ok()) {
       errors.Increment();
       Respond(conn, BuildErrorResponse(decoded, binary, close));
       return;
     }
-    const std::vector<RangeQuery>& queries =
-        binary ? query_view.queries : json_request.queries;
+    const std::vector<RangeQuery>& queries = query_view.queries;
 
     // Fast lane: a release already sealed in the cache involves no
     // publisher, no budget charge, and no journal write — nothing that
@@ -688,6 +666,7 @@ struct NetServer::Impl {
       // One outsized batch must not pin its memory in the loop's scratch
       // for the server's lifetime.
       TrimScratch(query_view.queries);
+      TrimScratch(query_view.scratch);
       TrimScratch(fast_answer.answers);
     }
     return used;

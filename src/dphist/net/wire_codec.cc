@@ -111,101 +111,375 @@ StatusCode CodeFromInt(std::uint32_t raw) {
   }
 }
 
-// --- comma-joined doubles / queries for the flat-JSON fallback ---
+// --- the flat-JSON fallback: writing ---
 
-std::string JoinDoubles(const std::vector<double>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += obs::JsonDouble(values[i]);
-  }
-  return out;
+// Appends `value` in decimal.
+void AppendU64(std::string& out, std::uint64_t value) {
+  char digits[20];
+  out.append(digits, std::to_chars(digits, digits + sizeof(digits), value).ptr);
 }
 
-bool SplitDoubles(std::string_view text, std::vector<double>* out) {
+// Writes one flat JSON object in place at the end of `out`: the bytes
+// obs::JsonObjectWriter::Finish() returns for the same fields, with every
+// repeated value (queries, answers, counts, keys) comma-joined into one
+// string field. Keys are literals with nothing to escape.
+class JsonOut {
+ public:
+  explicit JsonOut(std::string& out) : out_(out) { out_ += '{'; }
+
+  JsonOut& Str(std::string_view key, std::string_view value) {
+    Key(key);
+    out_ += '"';
+    obs::AppendJsonEscaped(out_, value);
+    out_ += '"';
+    return *this;
+  }
+  // A u64 as a decimal string: JSON numbers lose precision past 2^53.
+  JsonOut& U64(std::string_view key, std::uint64_t value) {
+    Key(key);
+    out_ += '"';
+    AppendU64(out_, value);
+    out_ += '"';
+    return *this;
+  }
+  JsonOut& Num(std::string_view key, double value) {
+    Key(key);
+    obs::AppendJsonDouble(out_, value);
+    return *this;
+  }
+  JsonOut& Int(std::string_view key, std::uint64_t value) {
+    Key(key);
+    AppendU64(out_, value);
+    return *this;
+  }
+  JsonOut& Bool(std::string_view key, bool value) {
+    Key(key);
+    out_ += value ? "true" : "false";
+    return *this;
+  }
+  // Each double through the digits writer straight into the buffer,
+  // non-finite ones as null.
+  JsonOut& Doubles(std::string_view key, std::span<const double> values) {
+    return Joined(key, values, obs::kJsonDoubleMaxChars,
+                  [](char* at, double value) {
+                    return obs::WriteJsonDouble(at, value);
+                  });
+  }
+  JsonOut& U64s(std::string_view key, std::span<const std::uint64_t> values) {
+    return Joined(key, values, 20, [](char* at, std::uint64_t value) {
+      return std::to_chars(at, at + 20, value).ptr;
+    });
+  }
+  JsonOut& Queries(std::string_view key, std::span<const RangeQuery> values) {
+    return Joined(key, values, 41, [](char* at, const RangeQuery& query) {
+      at = std::to_chars(at, at + 20, std::uint64_t{query.begin}).ptr;
+      *at++ = '-';
+      return std::to_chars(at, at + 20, std::uint64_t{query.end}).ptr;
+    });
+  }
+  void Close() { out_ += '}'; }
+
+ private:
+  void Key(std::string_view key) {
+    out_ += first_ ? "\"" : ",\"";
+    first_ = false;
+    out_ += key;
+    out_ += "\":";
+  }
+
+  // `values` comma-joined as one string, each written in place by
+  // `write` in at most `max_chars` bytes.
+  template <typename T, typename Write>
+  JsonOut& Joined(std::string_view key, std::span<const T> values,
+                  std::size_t max_chars, Write write) {
+    Key(key);
+    out_ += '"';
+    const std::size_t at = out_.size();
+    out_.resize(at + values.size() * (max_chars + 1));
+    char* const first = out_.data() + at;
+    char* end = first;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (i > 0) {
+        *end++ = ',';
+      }
+      end = write(end, values[i]);
+    }
+    out_.resize(at + static_cast<std::size_t>(end - first));
+    out_ += '"';
+    return *this;
+  }
+
+  std::string& out_;
+  bool first_ = true;
+};
+
+void PutKeyJson(JsonOut& json, const serve::ReleaseKey& key) {
+  json.Str("tenant", key.tenant)
+      .Str("dataset", key.dataset)
+      .U64("fingerprint", key.dataset_fingerprint)
+      .Str("publisher", key.publisher)
+      .Num("epsilon", key.epsilon)
+      .U64("seed", key.seed);
+}
+
+// An upper bound on the bytes of a JSON object carrying `key`, `extra`
+// bytes of fixed text and `values` joined values of at most `max_chars`
+// each: 256 covers the field names, the punctuation and the key's three
+// numbers, and every string byte may take a six-byte escape.
+std::size_t JsonSizeBound(const serve::ReleaseKey& key, std::size_t extra,
+                          std::size_t values, std::size_t max_chars) {
+  return 256 + extra +
+         6 * (key.tenant.size() + key.dataset.size() + key.publisher.size()) +
+         values * (max_chars + 1);
+}
+
+// --- the flat-JSON fallback: reading ---
+
+// Reads a run of decimal digits at `*pos` as a u64: at least one digit,
+// no sign, no overflow — what std::from_chars accepts of a whole token.
+bool ParseDigits(std::string_view text, std::size_t* pos, std::uint64_t* out) {
+  const std::size_t start = *pos;
+  std::uint64_t value = 0;
+  while (*pos < text.size() && text[*pos] >= '0' && text[*pos] <= '9') {
+    const auto digit = static_cast<std::uint64_t>(text[*pos] - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
+    ++*pos;
+  }
+  *out = value;
+  return *pos > start;
+}
+
+// A whole decimal token as a u64.
+bool ParseU64(std::string_view token, std::uint64_t* out) {
+  std::size_t pos = 0;
+  return ParseDigits(token, &pos, out) && pos == token.size();
+}
+
+// The fields a JSON message may carry. Others are skipped.
+enum JsonFieldId : std::size_t {
+  kFieldType,
+  kFieldTenant,
+  kFieldDataset,
+  kFieldPublisher,
+  kFieldEpsilon,
+  kFieldSeed,
+  kFieldQueries,
+  kFieldStale,
+  kFieldCacheHit,
+  kFieldFingerprint,
+  kFieldAnswers,
+  kFieldCounts,
+  kFieldDomain,
+  kFieldKeys,
+  kFieldCode,
+  kFieldMessage,
+  kFieldCount,
+};
+
+constexpr std::string_view kFieldNames[kFieldCount] = {
+    "type",     "tenant",    "dataset",     "publisher", "epsilon", "seed",
+    "queries",  "stale",     "cache_hit",   "fingerprint", "answers",
+    "counts",   "domain",    "keys",        "code",      "message"};
+
+// One scanner pass over a message: the last value of each known field,
+// as ParseFlatJson's map would hold it, read in place. A string field
+// with escapes is unescaped on first use into `scratch`, which is
+// reserved to the text's size before it, so every view into it stays
+// valid.
+struct JsonFields {
+  obs::JsonField field[kFieldCount];
+  bool present[kFieldCount] = {};
+  std::size_t text_size = 0;
+  std::string* scratch = nullptr;
+
+  const obs::JsonField* Get(JsonFieldId id, obs::JsonValue::Kind kind) const {
+    return present[id] && field[id].kind == kind ? &field[id] : nullptr;
+  }
+
+  bool Str(JsonFieldId id, std::string_view* out) const {
+    const obs::JsonField* value = Get(id, obs::JsonValue::Kind::kString);
+    if (value == nullptr) {
+      return false;
+    }
+    if (!value->escaped) {
+      *out = value->text;
+      return true;
+    }
+    if (scratch->capacity() < text_size) {
+      scratch->reserve(text_size);  // only ever while it is empty
+    }
+    const std::size_t at = scratch->size();
+    obs::AppendJsonUnescaped(*scratch, value->text);
+    *out = std::string_view(*scratch).substr(at);
+    return true;
+  }
+
+  bool Str(JsonFieldId id, std::string* out) const {
+    std::string_view view;
+    if (!Str(id, &view)) {
+      return false;
+    }
+    out->assign(view);
+    return true;
+  }
+
+  bool Num(JsonFieldId id, double* out) const {
+    const obs::JsonField* value = Get(id, obs::JsonValue::Kind::kNumber);
+    if (value == nullptr) {
+      return false;
+    }
+    *out = value->number_value;
+    return true;
+  }
+
+  bool Bool(JsonFieldId id, bool* out) const {
+    const obs::JsonField* value = Get(id, obs::JsonValue::Kind::kBool);
+    if (value == nullptr) {
+      return false;
+    }
+    *out = value->bool_value;
+    return true;
+  }
+
+  // A JSON number that is an integer in [0, 2^53), where every integer is
+  // exactly a double. A fraction, a negative, or anything larger is
+  // malformed, never cast: converting a double of 2^64 or more to u64 is
+  // undefined, and one in [2^53, 2^64) may already be a rounded neighbour.
+  bool Integer(JsonFieldId id, std::uint64_t* out) const {
+    double value = 0.0;
+    if (!Num(id, &value) || !(value >= 0.0) || value >= 0x1p53 ||
+        value != std::trunc(value)) {
+      return false;
+    }
+    *out = static_cast<std::uint64_t>(value);
+    return true;
+  }
+
+  // u64 fields (seed, fingerprint, domain) travel as decimal strings in
+  // JSON — a JSON number round-trips through double and silently loses
+  // precision past 2^53, which would mis-key a release. A number is
+  // accepted only where it is exact (Integer).
+  bool U64(JsonFieldId id, std::uint64_t* out) const {
+    std::string_view text;
+    if (Str(id, &text)) {
+      return ParseU64(text, out);
+    }
+    return Integer(id, out);
+  }
+};
+
+Status ScanJsonFields(std::string_view text, JsonFields* fields) {
+  fields->text_size = text.size();
+  fields->scratch->clear();
+  obs::FlatJsonScanner scanner(text);
+  obs::JsonField field;
+  std::string unescaped_key;  // only for a key with escapes
+  while (scanner.Next(&field)) {
+    std::string_view key = field.key;
+    if (field.key_escaped) {
+      unescaped_key.clear();
+      obs::AppendJsonUnescaped(unescaped_key, key);
+      key = unescaped_key;
+    }
+    for (std::size_t id = 0; id < kFieldCount; ++id) {
+      if (key == kFieldNames[id]) {
+        fields->field[id] = field;
+        fields->present[id] = true;
+        break;
+      }
+    }
+  }
+  return scanner.status();
+}
+
+// "b-e,b-e,..." into `*out`, reusing its capacity; the empty string is no
+// queries.
+bool ParseQueries(std::string_view text, std::vector<RangeQuery>* out) {
   out->clear();
   if (text.empty()) {
     return true;
   }
+  out->reserve(static_cast<std::size_t>(
+                   std::count(text.begin(), text.end(), ',')) +
+               1);
   std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string_view token = text.substr(
-        pos, comma == std::string_view::npos ? std::string_view::npos
-                                             : comma - pos);
+  for (;;) {
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+    if (!ParseDigits(text, &pos, &begin) || pos == text.size() ||
+        text[pos] != '-') {
+      return false;
+    }
+    ++pos;
+    if (!ParseDigits(text, &pos, &end)) {
+      return false;
+    }
+    out->push_back(RangeQuery{static_cast<std::size_t>(begin),
+                              static_cast<std::size_t>(end)});
+    if (pos == text.size()) {
+      return true;
+    }
+    if (text[pos] != ',') {
+      return false;
+    }
+    ++pos;
+  }
+}
+
+// Comma-joined doubles; `null` (what the writer gives a non-finite value)
+// decodes as a quiet NaN.
+bool ParseDoubles(std::string_view text, std::vector<double>* out) {
+  out->clear();
+  if (text.empty()) {
+    return true;
+  }
+  out->reserve(static_cast<std::size_t>(
+                   std::count(text.begin(), text.end(), ',')) +
+               1);
+  const char* at = text.data();
+  const char* const last = text.data() + text.size();
+  for (;;) {
+    const char* comma = std::find(at, last, ',');
     double value = std::numeric_limits<double>::quiet_NaN();
-    // JoinDoubles writes every non-finite value as null.
-    if (token != "null") {
-      const auto [end, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), value);
-      if (ec != std::errc{} || end != token.data() + token.size()) {
+    if (std::string_view(at, static_cast<std::size_t>(comma - at)) !=
+        "null") {
+      const auto [end, ec] = std::from_chars(at, comma, value);
+      if (ec != std::errc{} || end != comma) {
         return false;
       }
     }
     out->push_back(value);
-    if (comma == std::string_view::npos) {
+    if (comma == last) {
       return true;
     }
-    pos = comma + 1;
+    at = comma + 1;
   }
-  return true;
 }
 
-std::string JoinU64s(const std::vector<std::uint64_t>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += std::to_string(values[i]);
-  }
-  return out;
-}
-
-std::string JoinQueries(const std::vector<RangeQuery>& queries) {
-  std::string out;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += std::to_string(queries[i].begin);
-    out += '-';
-    out += std::to_string(queries[i].end);
-  }
-  return out;
-}
-
-bool ParseU64(std::string_view token, std::uint64_t* out) {
-  const auto [end, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), *out, 10);
-  return ec == std::errc{} && end == token.data() + token.size() &&
-         !token.empty();
-}
-
-bool SplitU64s(std::string_view text, std::vector<std::uint64_t>* out) {
+// Comma-joined u64s.
+bool ParseU64s(std::string_view text, std::vector<std::uint64_t>* out) {
   out->clear();
   if (text.empty()) {
     return true;
   }
   std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string_view token = text.substr(
-        pos, comma == std::string_view::npos ? std::string_view::npos
-                                             : comma - pos);
+  for (;;) {
     std::uint64_t value = 0;
-    if (!ParseU64(token, &value)) {
+    if (!ParseDigits(text, &pos, &value)) {
       return false;
     }
     out->push_back(value);
-    if (comma == std::string_view::npos) {
+    if (pos == text.size()) {
       return true;
     }
-    pos = comma + 1;
+    if (text[pos] != ',') {
+      return false;
+    }
+    ++pos;
   }
-  return true;
 }
 
 // Released keys must arrive strictly increasing: duplicates or disorder
@@ -220,119 +494,29 @@ bool KeysStrictlyIncreasing(const std::vector<std::uint64_t>& keys) {
   return true;
 }
 
-bool SplitQueries(std::string_view text, std::vector<RangeQuery>* out) {
-  out->clear();
-  if (text.empty()) {
-    return true;
-  }
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string_view token = text.substr(
-        pos, comma == std::string_view::npos ? std::string_view::npos
-                                             : comma - pos);
-    const std::size_t dash = token.find('-');
-    std::uint64_t begin = 0;
-    std::uint64_t end = 0;
-    if (dash == std::string_view::npos ||
-        !ParseU64(token.substr(0, dash), &begin) ||
-        !ParseU64(token.substr(dash + 1), &end)) {
-      return false;
-    }
-    out->push_back(RangeQuery{static_cast<std::size_t>(begin),
-                              static_cast<std::size_t>(end)});
-    if (comma == std::string_view::npos) {
-      return true;
-    }
-    pos = comma + 1;
-  }
-  return true;
+bool ReadKeyJson(const JsonFields& fields, serve::ReleaseKey* key) {
+  return fields.Str(kFieldTenant, &key->tenant) &&
+         fields.Str(kFieldDataset, &key->dataset) &&
+         fields.U64(kFieldFingerprint, &key->dataset_fingerprint) &&
+         fields.Str(kFieldPublisher, &key->publisher) &&
+         fields.Num(kFieldEpsilon, &key->epsilon) &&
+         fields.U64(kFieldSeed, &key->seed);
 }
 
-// Field accessors over a parsed flat-JSON object. A string field is read
-// as a view into the object, valid while the object is.
-bool JsonStr(const obs::JsonObject& object, std::string_view key,
-             std::string_view* out) {
-  const auto it = object.find(key);
-  if (it == object.end() || it->second.kind != obs::JsonValue::Kind::kString) {
-    return false;
+// The query-request fields into `*out`, its escaped strings into the
+// scratch `fields` unescapes into.
+Status ReadQueryRequestJson(const JsonFields& fields, QueryRequestView* out) {
+  std::string_view queries;
+  if (!fields.Str(kFieldTenant, &out->tenant) ||
+      !fields.Str(kFieldDataset, &out->dataset) ||
+      !fields.Str(kFieldPublisher, &out->publisher) ||
+      !fields.Num(kFieldEpsilon, &out->epsilon) ||
+      !fields.U64(kFieldSeed, &out->seed) ||
+      !fields.Str(kFieldQueries, &queries) ||
+      !ParseQueries(queries, &out->queries)) {
+    return BodyError("malformed json query request");
   }
-  *out = it->second.string_value;
-  return true;
-}
-
-bool JsonStr(const obs::JsonObject& object, std::string_view key,
-             std::string* out) {
-  std::string_view view;
-  if (!JsonStr(object, key, &view)) {
-    return false;
-  }
-  out->assign(view);
-  return true;
-}
-
-bool JsonNum(const obs::JsonObject& object, std::string_view key, double* out) {
-  const auto it = object.find(key);
-  if (it == object.end() || it->second.kind != obs::JsonValue::Kind::kNumber) {
-    return false;
-  }
-  *out = it->second.number_value;
-  return true;
-}
-
-bool JsonBool(const obs::JsonObject& object, std::string_view key, bool* out) {
-  const auto it = object.find(key);
-  if (it == object.end() || it->second.kind != obs::JsonValue::Kind::kBool) {
-    return false;
-  }
-  *out = it->second.bool_value;
-  return true;
-}
-
-// A JSON number that is an integer in [0, 2^53), where every integer is
-// exactly a double. A fraction, a negative, or anything larger is
-// malformed, never cast: converting a double of 2^64 or more to u64 is
-// undefined, and one in [2^53, 2^64) may already be a rounded neighbour.
-bool JsonInteger(const obs::JsonObject& object, std::string_view key,
-                 std::uint64_t* out) {
-  double value = 0.0;
-  if (!JsonNum(object, key, &value) || !(value >= 0.0) ||
-      value >= 0x1p53 || value != std::trunc(value)) {
-    return false;
-  }
-  *out = static_cast<std::uint64_t>(value);
-  return true;
-}
-
-// u64 fields (seed, fingerprint, domain) travel as decimal strings in
-// JSON — a JSON number round-trips through double and silently loses
-// precision past 2^53, which would mis-key a release. A number is accepted
-// only where it is exact (JsonInteger).
-bool JsonU64(const obs::JsonObject& object, std::string_view key,
-             std::uint64_t* out) {
-  std::string_view text;
-  if (JsonStr(object, key, &text)) {
-    return ParseU64(text, out);
-  }
-  return JsonInteger(object, key, out);
-}
-
-void PutKeyJson(obs::JsonObjectWriter& writer, const serve::ReleaseKey& key) {
-  writer.Str("tenant", key.tenant)
-      .Str("dataset", key.dataset)
-      .Str("fingerprint", std::to_string(key.dataset_fingerprint))
-      .Str("publisher", key.publisher)
-      .Num("epsilon", key.epsilon)
-      .Str("seed", std::to_string(key.seed));
-}
-
-bool GetKeyJson(const obs::JsonObject& object, serve::ReleaseKey* key) {
-  return JsonStr(object, "tenant", &key->tenant) &&
-         JsonStr(object, "dataset", &key->dataset) &&
-         JsonU64(object, "fingerprint", &key->dataset_fingerprint) &&
-         JsonStr(object, "publisher", &key->publisher) &&
-         JsonNum(object, "epsilon", &key->epsilon) &&
-         JsonU64(object, "seed", &key->seed);
+  return Status::Ok();
 }
 
 }  // namespace
@@ -633,89 +817,127 @@ Result<WireMessage> DecodeFrame(std::string_view bytes) {
 // --- JSON fallback ---
 
 std::string EncodeQueryRequestJson(const WireQueryRequest& request) {
-  obs::JsonObjectWriter writer;
-  writer.Str("type", "query_request")
+  std::string out;
+  out.reserve(256 + 6 * (request.tenant.size() + request.dataset.size() +
+                         request.request.publisher.size()) +
+              42 * request.queries.size());
+  JsonOut(out)
+      .Str("type", "query_request")
       .Str("tenant", request.tenant)
       .Str("dataset", request.dataset)
       .Str("publisher", request.request.publisher)
       .Num("epsilon", request.request.epsilon)
-      .Str("seed", std::to_string(request.request.seed))
-      .Str("queries", JoinQueries(request.queries));
-  return writer.Finish();
+      .U64("seed", request.request.seed)
+      .Queries("queries", request.queries)
+      .Close();
+  return out;
+}
+
+std::size_t BatchAnswerJsonSizeBound(const serve::ReleaseKey& served,
+                                     std::size_t answer_count) {
+  return JsonSizeBound(served, 0, answer_count, obs::kJsonDoubleMaxChars);
+}
+
+void AppendBatchAnswerJson(std::string& out, std::span<const double> answers,
+                           bool stale, bool cache_hit,
+                           const serve::ReleaseKey& served) {
+  JsonOut json(out);
+  json.Str("type", "batch_answer")
+      .Bool("stale", stale)
+      .Bool("cache_hit", cache_hit);
+  PutKeyJson(json, served);
+  json.Doubles("answers", answers).Close();
 }
 
 std::string EncodeBatchAnswerJson(const WireBatchAnswer& answer) {
-  obs::JsonObjectWriter writer;
-  writer.Str("type", "batch_answer")
-      .Bool("stale", answer.stale)
-      .Bool("cache_hit", answer.cache_hit);
-  PutKeyJson(writer, answer.served);
-  writer.Str("answers", JoinDoubles(answer.answers));
-  return writer.Finish();
+  std::string out;
+  out.reserve(BatchAnswerJsonSizeBound(answer.served, answer.answers.size()));
+  AppendBatchAnswerJson(out, answer.answers, answer.stale, answer.cache_hit,
+                        answer.served);
+  return out;
 }
 
 std::string EncodeHistogramJson(const WireHistogram& histogram) {
-  obs::JsonObjectWriter writer;
-  writer.Str("type", "histogram");
-  PutKeyJson(writer, histogram.key);
-  writer.Str("counts", JoinDoubles(histogram.counts));
-  return writer.Finish();
+  std::string out;
+  out.reserve(JsonSizeBound(histogram.key, 0, histogram.counts.size(),
+                            obs::kJsonDoubleMaxChars));
+  JsonOut json(out);
+  json.Str("type", "histogram");
+  PutKeyJson(json, histogram.key);
+  json.Doubles("counts", histogram.counts).Close();
+  return out;
 }
 
 std::string EncodeSparseHistogramJson(const WireSparseHistogram& histogram) {
-  obs::JsonObjectWriter writer;
-  writer.Str("type", "sparse_histogram");
-  PutKeyJson(writer, histogram.key);
-  writer.Str("domain", std::to_string(histogram.domain_size))
-      .Str("keys", JoinU64s(histogram.keys))
-      .Str("counts", JoinDoubles(histogram.counts));
-  return writer.Finish();
+  std::string out;
+  out.reserve(JsonSizeBound(histogram.key, 20, histogram.keys.size(), 20) +
+              histogram.counts.size() * (obs::kJsonDoubleMaxChars + 1));
+  JsonOut json(out);
+  json.Str("type", "sparse_histogram");
+  PutKeyJson(json, histogram.key);
+  json.U64("domain", histogram.domain_size)
+      .U64s("keys", histogram.keys)
+      .Doubles("counts", histogram.counts)
+      .Close();
+  return out;
 }
 
 std::string EncodeErrorJson(const Status& status) {
-  obs::JsonObjectWriter writer;
-  writer.Str("type", "error")
+  std::string out;
+  JsonOut(out)
+      .Str("type", "error")
       .Int("code", static_cast<std::uint64_t>(status.code()))
       .Str("code_name", StatusCodeName(status.code()))
-      .Str("message", status.message());
-  return writer.Finish();
+      .Str("message", status.message())
+      .Close();
+  return out;
+}
+
+Result<bool> DecodeQueryRequestJson(std::string_view text,
+                                    QueryRequestView* out) {
+  JsonFields fields;
+  fields.scratch = &out->scratch;
+  DPHIST_RETURN_IF_ERROR(ScanJsonFields(text, &fields));
+  std::string_view type;
+  if (!fields.Str(kFieldType, &type) || type != "query_request") {
+    return false;
+  }
+  DPHIST_RETURN_IF_ERROR(ReadQueryRequestJson(fields, out));
+  return true;
 }
 
 Result<WireMessage> DecodeJson(std::string_view text) {
-  auto parsed = obs::ParseFlatJson(text);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const obs::JsonObject& object = parsed.value();
+  std::string scratch;
+  JsonFields fields;
+  fields.scratch = &scratch;
+  DPHIST_RETURN_IF_ERROR(ScanJsonFields(text, &fields));
   std::string_view type;
-  if (!JsonStr(object, "type", &type)) {
+  if (!fields.Str(kFieldType, &type)) {
     return BodyError("json message missing \"type\"");
   }
   WireMessage message;
   if (type == "query_request") {
+    QueryRequestView view;
+    DPHIST_RETURN_IF_ERROR(ReadQueryRequestJson(fields, &view));
     message.type = WireType::kQueryRequest;
     WireQueryRequest& request = message.query_request;
-    std::string_view queries;
-    if (!JsonStr(object, "tenant", &request.tenant) ||
-        !JsonStr(object, "dataset", &request.dataset) ||
-        !JsonStr(object, "publisher", &request.request.publisher) ||
-        !JsonNum(object, "epsilon", &request.request.epsilon) ||
-        !JsonU64(object, "seed", &request.request.seed) ||
-        !JsonStr(object, "queries", &queries) ||
-        !SplitQueries(queries, &request.queries)) {
-      return BodyError("malformed json query request");
-    }
+    request.tenant = view.tenant;
+    request.dataset = view.dataset;
+    request.request.publisher = view.publisher;
+    request.request.epsilon = view.epsilon;
+    request.request.seed = view.seed;
+    request.queries = std::move(view.queries);
     return message;
   }
   if (type == "batch_answer") {
     message.type = WireType::kBatchAnswer;
     WireBatchAnswer& answer = message.batch_answer;
     std::string_view answers;
-    if (!JsonBool(object, "stale", &answer.stale) ||
-        !JsonBool(object, "cache_hit", &answer.cache_hit) ||
-        !GetKeyJson(object, &answer.served) ||
-        !JsonStr(object, "answers", &answers) ||
-        !SplitDoubles(answers, &answer.answers)) {
+    if (!fields.Bool(kFieldStale, &answer.stale) ||
+        !fields.Bool(kFieldCacheHit, &answer.cache_hit) ||
+        !ReadKeyJson(fields, &answer.served) ||
+        !fields.Str(kFieldAnswers, &answers) ||
+        !ParseDoubles(answers, &answer.answers)) {
       return BodyError("malformed json batch answer");
     }
     return message;
@@ -724,9 +946,9 @@ Result<WireMessage> DecodeJson(std::string_view text) {
     message.type = WireType::kHistogram;
     WireHistogram& histogram = message.histogram;
     std::string_view counts;
-    if (!GetKeyJson(object, &histogram.key) ||
-        !JsonStr(object, "counts", &counts) ||
-        !SplitDoubles(counts, &histogram.counts)) {
+    if (!ReadKeyJson(fields, &histogram.key) ||
+        !fields.Str(kFieldCounts, &counts) ||
+        !ParseDoubles(counts, &histogram.counts)) {
       return BodyError("malformed json histogram");
     }
     return message;
@@ -736,12 +958,12 @@ Result<WireMessage> DecodeJson(std::string_view text) {
     WireSparseHistogram& histogram = message.sparse_histogram;
     std::string_view keys;
     std::string_view counts;
-    if (!GetKeyJson(object, &histogram.key) ||
-        !JsonU64(object, "domain", &histogram.domain_size) ||
-        !JsonStr(object, "keys", &keys) ||
-        !SplitU64s(keys, &histogram.keys) ||
-        !JsonStr(object, "counts", &counts) ||
-        !SplitDoubles(counts, &histogram.counts) ||
+    if (!ReadKeyJson(fields, &histogram.key) ||
+        !fields.U64(kFieldDomain, &histogram.domain_size) ||
+        !fields.Str(kFieldKeys, &keys) ||
+        !ParseU64s(keys, &histogram.keys) ||
+        !fields.Str(kFieldCounts, &counts) ||
+        !ParseDoubles(counts, &histogram.counts) ||
         histogram.keys.size() != histogram.counts.size() ||
         !KeysStrictlyIncreasing(histogram.keys)) {
       return BodyError("malformed json sparse histogram");
@@ -751,8 +973,8 @@ Result<WireMessage> DecodeJson(std::string_view text) {
   if (type == "error") {
     message.type = WireType::kError;
     std::uint64_t code = 0;
-    if (!JsonInteger(object, "code", &code) ||
-        !JsonStr(object, "message", &message.error.message)) {
+    if (!fields.Integer(kFieldCode, &code) ||
+        !fields.Str(kFieldMessage, &message.error.message)) {
       return BodyError("malformed json error");
     }
     // Codes past u32 are unknown codes, as CodeFromInt maps any it lacks.

@@ -34,7 +34,7 @@ namespace net {
 /// message (wire_codec_test's truncation/bit-flip battery).
 ///
 /// The JSON fallback is one flat object per message (the obs
-/// JsonObjectWriter/ParseFlatJson schema — no nesting), so any message is
+/// JsonObjectWriter/FlatJsonScanner schema — no nesting), so any message is
 /// inspectable with curl. Repeated values (queries, answers, counts)
 /// travel as a single comma-separated string field; doubles are formatted
 /// with round-trip precision, so every finite answer or count decodes to
@@ -131,11 +131,13 @@ struct WireError {
   friend bool operator==(const WireError&, const WireError&) = default;
 };
 
-/// \brief A binary query request read in place by `DecodeQueryRequest`:
-/// the strings are views into the frame's bytes, valid only while those
-/// bytes are, and `queries` is refilled by every decode, so a caller that
-/// keeps one view allocates nothing once the vector has grown to its
-/// batch size.
+/// \brief A query request read in place by `DecodeQueryRequest` (a binary
+/// frame) or `DecodeQueryRequestJson` (a JSON body): the strings are views
+/// into the request's bytes, valid only while those bytes are, or, for a
+/// JSON string with escapes, into `scratch`, which holds it unescaped
+/// until the next decode. `queries` and `scratch` are refilled by every
+/// decode, so a caller that keeps one view allocates nothing once they
+/// have grown to its requests' size.
 struct QueryRequestView {
   std::string_view tenant;
   std::string_view dataset;
@@ -143,6 +145,7 @@ struct QueryRequestView {
   double epsilon = 0.0;
   std::uint64_t seed = 0;
   std::vector<RangeQuery> queries;
+  std::string scratch;
 };
 
 /// \brief One decoded message: `type` says which member is meaningful.
@@ -187,15 +190,39 @@ Result<WireMessage> DecodeFrame(std::string_view bytes);
 Result<bool> DecodeQueryRequest(std::string_view bytes, QueryRequestView* out);
 
 // --- JSON fallback (same message shapes, flat objects) ---
+//
+// Every JSON encoder writes its object in place, each double through
+// obs::WriteJsonDouble; every decoder reads through one
+// obs::FlatJsonScanner pass that keeps the last value of each field it
+// knows, as ParseFlatJson's map would.
 
 std::string EncodeQueryRequestJson(const WireQueryRequest& request);
 std::string EncodeBatchAnswerJson(const WireBatchAnswer& answer);
+
+/// The JSON batch-answer writer behind `EncodeBatchAnswerJson` and the
+/// server's responses: appends the body to `out`, the answers written
+/// where they land, with no string per answer.
+void AppendBatchAnswerJson(std::string& out, std::span<const double> answers,
+                           bool stale, bool cache_hit,
+                           const serve::ReleaseKey& served);
+
+/// An upper bound on the bytes `AppendBatchAnswerJson` writes for
+/// `answer_count` answers from `served`.
+std::size_t BatchAnswerJsonSizeBound(const serve::ReleaseKey& served,
+                                     std::size_t answer_count);
 std::string EncodeHistogramJson(const WireHistogram& histogram);
 std::string EncodeSparseHistogramJson(const WireSparseHistogram& histogram);
 std::string EncodeErrorJson(const Status& status);
 
 /// Decodes one flat-JSON message; the `"type"` field selects the shape.
 Result<WireMessage> DecodeJson(std::string_view text);
+
+/// The query-request arm of `DecodeJson`, without the owned copy: reads
+/// `text` into `*out`. Errors are DecodeJson's; a message whose `"type"`
+/// is not "query_request" (or is missing) is Ok(false), with `*out`
+/// unspecified, and DecodeJson then gives its error or its message.
+Result<bool> DecodeQueryRequestJson(std::string_view text,
+                                    QueryRequestView* out);
 
 }  // namespace net
 }  // namespace dphist

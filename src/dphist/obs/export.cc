@@ -1,10 +1,13 @@
 #include "dphist/obs/export.h"
 
+#include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -16,10 +19,15 @@ namespace obs {
 // ---------------------------------------------------------------------------
 // Writing
 
-std::string JsonEscape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
+void AppendJsonEscaped(std::string& out, std::string_view raw) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(raw.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -36,36 +44,184 @@ std::string JsonEscape(std::string_view raw) {
       case '\r':
         out += "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(raw.data() + run, raw.size() - run);
+}
+
+std::string JsonEscape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  AppendJsonEscaped(out, raw);
   return out;
 }
 
-std::string JsonDouble(double value) {
+namespace {
+
+using U128 = unsigned __int128;
+
+constexpr std::uint64_t kTen16 = 10000000000000000ull;
+constexpr std::uint64_t kTen17 = 100000000000000000ull;
+
+constexpr std::array<std::uint64_t, 20> MakePowersOfTen() {
+  std::array<std::uint64_t, 20> powers{};
+  std::uint64_t power = 1;
+  for (std::uint64_t& entry : powers) {
+    entry = power;
+    power *= 10;
+  }
+  return powers;
+}
+constexpr std::array<std::uint64_t, 20> kPowersOfTen = MakePowersOfTen();
+
+constexpr char kDigitPairs[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536"
+    "37383940414243444546474849505152535455565758596061626364656667686970717273"
+    "7475767778798081828384858687888990919293949596979899";
+
+// Writes `value` (< 10^8) as exactly eight digits.
+void WriteEightDigits(char* out, std::uint32_t value) {
+  const std::uint32_t high = value / 10000;
+  const std::uint32_t low = value % 10000;
+  std::memcpy(out, kDigitPairs + 2 * (high / 100), 2);
+  std::memcpy(out + 2, kDigitPairs + 2 * (high % 100), 2);
+  std::memcpy(out + 4, kDigitPairs + 2 * (low / 100), 2);
+  std::memcpy(out + 6, kDigitPairs + 2 * (low % 100), 2);
+}
+
+// floor(log10(2^e)) for |e| <= 1650 (Ryu's log10Pow2).
+int FloorLog10Pow2(int e) { return (e * 78913) >> 18; }
+
+// %.17g of a finite value with |value| in [2^-20, 1e17), from its exact
+// 17 digits, at `out`, which has room for kJsonDoubleMaxChars bytes.
+char* WriteSeventeenDigits(char* out, std::uint64_t bits) {
+  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+  const std::uint64_t m = (bits & ((std::uint64_t{1} << 52) - 1)) |
+                          (std::uint64_t{1} << 52);
+  const int e = biased - 1075;  // |value| = m * 2^e exactly
+  std::uint64_t digits = 0;     // the 17 significant digits, in [1e16, 1e17)
+  int exponent = 0;             // the decimal exponent of the first digit
+  if (e >= 0) {
+    // An integer below 1e17: its digits are exact, nothing to round.
+    const std::uint64_t integer = m << e;
+    digits = integer >= kTen16 ? integer : integer * 10;
+    exponent = integer >= kTen16 ? 16 : 15;
+  } else {
+    // |value| * 10^p = m * 10^p / 2^s with p = 15 - k, where k is
+    // floor(log10 |value|) or one less: 16 or 17 integer digits, and
+    // m * 10^p < 2^53 * 10^22 < 2^127, one 64 x 64-bit product (for
+    // p > 19, m * 10^(p-19) < 2^63 times 10^19). With 16 digits, the
+    // remainder times ten gives the 17th. The remainder is exact, so the
+    // rounding is too.
+    const int s = -e;  // 1..72
+    const int k = FloorLog10Pow2(biased - 1023);
+    const int p = 15 - k;  // 0..22
+    const U128 n =
+        p > 19 ? U128{m * kPowersOfTen[p - 19]} * kPowersOfTen[19]
+               : U128{m} * kPowersOfTen[p];
+    const U128 mask = (U128{1} << s) - 1;
+    std::uint64_t q = static_cast<std::uint64_t>(n >> s);
+    U128 r = n & mask;
+    exponent = k + 1;
+    if (q < kTen16) {
+      r *= 10;
+      q = q * 10 + static_cast<std::uint64_t>(r >> s);
+      r &= mask;
+      exponent = k;
+    }
+    const U128 half = U128{1} << (s - 1);
+    if (r > half || (r == half && (q & 1) != 0)) {
+      ++q;
+      if (q == kTen17) {
+        q = kTen16;
+        ++exponent;
+      }
+    }
+    digits = q;
+  }
+
+  // The digits, then '0's: every copy below has a fixed size, reading
+  // and writing inside these buffers, and the result leaves in one
+  // fixed-size copy.
+  char text[40];
+  text[0] = static_cast<char>('0' + digits / kTen16);
+  const std::uint64_t rest = digits % kTen16;
+  WriteEightDigits(text + 1, static_cast<std::uint32_t>(rest / 100000000));
+  WriteEightDigits(text + 9, static_cast<std::uint32_t>(rest % 100000000));
+  std::memset(text + 17, '0', 23);
+  int length = 17;
+  while (text[length - 1] == '0') {
+    --length;
+  }
+  char line[48] = {};
+  int size = 0;
+  // %g: fixed notation for exponents in [-4, 17), else scientific; no
+  // trailing zeros and no bare decimal point either way.
+  if (exponent >= 0 && exponent < 17) {
+    std::memcpy(line, text, 17);
+    if (length <= exponent + 1) {
+      size = exponent + 1;
+    } else {
+      line[exponent + 1] = '.';
+      std::memcpy(line + exponent + 2, text + exponent + 1, 16);
+      size = length + 1;
+    }
+  } else if (exponent < 0 && exponent >= -4) {
+    std::memcpy(line, "0.000", 5);
+    std::memcpy(line + 1 - exponent, text, 17);
+    size = 1 - exponent + length;
+  } else {
+    // Only exponents -7..-5 reach here: two digits, as %g writes them.
+    line[0] = text[0];
+    line[1] = '.';
+    std::memcpy(line + 2, text + 1, 16);
+    size = length > 1 ? length + 1 : 1;
+    line[size] = 'e';
+    line[size + 1] = exponent < 0 ? '-' : '+';
+    std::memcpy(line + size + 2,
+                kDigitPairs + 2 * (exponent < 0 ? -exponent : exponent), 2);
+    size += 4;
+  }
+  std::memcpy(out, line, kJsonDoubleMaxChars - 1);
+  return out + size;
+}
+
+}  // namespace
+
+char* WriteJsonDouble(char* out, double value) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
+  const double magnitude = std::fabs(value);
+  if (magnitude >= 0x1p-20 && magnitude < 1e17) {
+    *out = '-';
+    return WriteSeventeenDigits(out + (bits >> 63), bits);
+  }
   if (!std::isfinite(value)) {
-    return "null";
+    std::memcpy(out, "null", 4);
+    return out + 4;
   }
-  // std::to_chars, not snprintf("%.17g"): printf honors the process locale,
-  // so under a comma-decimal locale (de_DE) the emitted "0,5" is not JSON
-  // and the bench-regression gate would compare garbage. to_chars is
-  // specified to format as if in the C locale, and general/17 matches the
-  // historical %.17g output byte for byte.
-  char buffer[32];
-  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value,
-                                       std::chars_format::general, 17);
-  if (ec != std::errc{}) {
-    return "null";
-  }
-  return std::string(buffer, ptr);
+  // Zero, subnormals, and the rest of the range: std::to_chars, not
+  // snprintf("%.17g"): printf honors the process locale, so under a
+  // comma-decimal locale (de_DE) the emitted "0,5" is not JSON. to_chars
+  // is specified to format as if in the C locale, and general/17 matches
+  // %.17g byte for byte.
+  return std::to_chars(out, out + kJsonDoubleMaxChars, value,
+                       std::chars_format::general, 17)
+      .ptr;
+}
+
+void AppendJsonDouble(std::string& out, double value) {
+  char buffer[kJsonDoubleMaxChars];
+  out.append(buffer, WriteJsonDouble(buffer, value));
+}
+
+std::string JsonDouble(double value) {
+  char buffer[kJsonDoubleMaxChars];
+  return std::string(buffer, WriteJsonDouble(buffer, value));
 }
 
 void JsonObjectWriter::Key(std::string_view key) {
@@ -73,7 +229,7 @@ void JsonObjectWriter::Key(std::string_view key) {
     body_ += ',';
   }
   body_ += '"';
-  body_ += JsonEscape(key);
+  AppendJsonEscaped(body_, key);
   body_ += "\":";
 }
 
@@ -81,14 +237,14 @@ JsonObjectWriter& JsonObjectWriter::Str(std::string_view key,
                                         std::string_view value) {
   Key(key);
   body_ += '"';
-  body_ += JsonEscape(value);
+  AppendJsonEscaped(body_, value);
   body_ += '"';
   return *this;
 }
 
 JsonObjectWriter& JsonObjectWriter::Num(std::string_view key, double value) {
   Key(key);
-  body_ += JsonDouble(value);
+  AppendJsonDouble(body_, value);
   return *this;
 }
 
@@ -110,71 +266,68 @@ std::string JsonObjectWriter::Finish() const { return "{" + body_ + "}"; }
 // ---------------------------------------------------------------------------
 // Parsing
 
-namespace {
+bool FlatJsonScanner::Fail(std::string_view what, std::size_t pos) {
+  status_ = Status::InvalidArgument("ParseFlatJson: " + std::string(what) +
+                                    " at offset " + std::to_string(pos));
+  state_ = State::kDone;
+  return false;
+}
 
-void SkipSpace(std::string_view line, std::size_t& pos) {
-  while (pos < line.size() &&
-         std::isspace(static_cast<unsigned char>(line[pos])) != 0) {
-    ++pos;
+void FlatJsonScanner::SkipSpace() {
+  while (pos_ < text_.size() &&
+         std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
+    ++pos_;
   }
 }
 
-Status ParseError(std::string_view what, std::size_t pos) {
-  return Status::InvalidArgument("ParseFlatJson: " + std::string(what) +
-                                 " at offset " + std::to_string(pos));
+// After the object's '}': only whitespace may follow.
+bool FlatJsonScanner::End() {
+  SkipSpace();
+  if (pos_ != text_.size()) {
+    return Fail("trailing characters", pos_);
+  }
+  state_ = State::kDone;
+  return false;
 }
 
-Result<std::string> ParseString(std::string_view line, std::size_t& pos) {
-  if (pos >= line.size() || line[pos] != '"') {
-    return ParseError("expected '\"'", pos);
+// Reads a string at pos_, checking every escape where it stands; `*raw`
+// is the bytes between the quotes.
+bool FlatJsonScanner::ScanString(std::string_view* raw, bool* escaped) {
+  if (pos_ >= text_.size() || text_[pos_] != '"') {
+    return Fail("expected '\"'", pos_);
   }
-  ++pos;
-  std::string out;
+  const std::size_t start = ++pos_;
+  *escaped = false;
   for (;;) {
-    // The plain run up to the next quote or escape, in one append.
-    std::size_t stop = pos;
-    while (stop < line.size() && line[stop] != '"' && line[stop] != '\\') {
-      ++stop;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
     }
-    out.append(line, pos, stop - pos);
-    pos = stop;
-    if (pos >= line.size()) {
-      return ParseError("unterminated string", pos);
+    if (pos_ >= text_.size()) {
+      return Fail("unterminated string", pos_);
     }
-    if (line[pos] == '"') {
+    if (text_[pos_] == '"') {
       break;
     }
-    if (pos + 1 >= line.size()) {
-      return ParseError("dangling escape", pos);
+    if (pos_ + 1 >= text_.size()) {
+      return Fail("dangling escape", pos_);
     }
-    ++pos;
-    char c = '\0';
-    switch (line[pos]) {
+    ++pos_;
+    *escaped = true;
+    switch (text_[pos_]) {
       case '"':
-        c = '"';
-        break;
       case '\\':
-        c = '\\';
-        break;
       case '/':
-        c = '/';
-        break;
       case 'n':
-        c = '\n';
-        break;
       case 't':
-        c = '\t';
-        break;
       case 'r':
-        c = '\r';
         break;
       case 'u': {
-        if (pos + 4 >= line.size()) {
-          return ParseError("truncated \\u escape", pos);
+        if (pos_ + 4 >= text_.size()) {
+          return Fail("truncated \\u escape", pos_);
         }
         unsigned code = 0;
-        for (int i = 1; i <= 4; ++i) {
-          const char h = line[pos + i];
+        for (std::size_t i = 1; i <= 4; ++i) {
+          const char h = text_[pos_ + i];
           code <<= 4;
           if (h >= '0' && h <= '9') {
             code |= static_cast<unsigned>(h - '0');
@@ -183,132 +336,177 @@ Result<std::string> ParseString(std::string_view line, std::size_t& pos) {
           } else if (h >= 'A' && h <= 'F') {
             code |= static_cast<unsigned>(h - 'A' + 10);
           } else {
-            return ParseError("bad \\u digit", pos + i);
+            return Fail("bad \\u digit", pos_ + i);
           }
         }
-        pos += 4;
+        pos_ += 4;
         if (code > 0x7f) {
-          return ParseError("non-ASCII \\u escape unsupported", pos);
+          return Fail("non-ASCII \\u escape unsupported", pos_);
         }
-        c = static_cast<char>(code);
         break;
       }
       default:
-        return ParseError("unknown escape", pos);
+        return Fail("unknown escape", pos_);
     }
-    out += c;
-    ++pos;
+    ++pos_;
   }
-  ++pos;  // closing quote
-  return out;
+  *raw = text_.substr(start, pos_ - start);
+  ++pos_;  // closing quote
+  return true;
 }
 
-Result<JsonValue> ParseValue(std::string_view line, std::size_t& pos) {
-  SkipSpace(line, pos);
-  if (pos >= line.size()) {
-    return ParseError("expected value", pos);
+bool FlatJsonScanner::ScanValue(JsonField* field) {
+  SkipSpace();
+  if (pos_ >= text_.size()) {
+    return Fail("expected value", pos_);
   }
-  JsonValue value;
-  const char c = line[pos];
-  if (c == '"') {
-    auto text = ParseString(line, pos);
-    if (!text.ok()) {
-      return text.status();
-    }
-    value.kind = JsonValue::Kind::kString;
-    value.string_value = std::move(text).value();
-    return value;
+  const std::string_view rest = text_.substr(pos_);
+  if (rest[0] == '"') {
+    field->kind = JsonValue::Kind::kString;
+    return ScanString(&field->text, &field->escaped);
   }
-  if (line.substr(pos, 4) == "true") {
-    pos += 4;
-    value.kind = JsonValue::Kind::kBool;
-    value.bool_value = true;
-    return value;
+  if (rest.starts_with("true") || rest.starts_with("false")) {
+    field->kind = JsonValue::Kind::kBool;
+    field->bool_value = rest[0] == 't';
+    pos_ += field->bool_value ? 4 : 5;
+    return true;
   }
-  if (line.substr(pos, 5) == "false") {
-    pos += 5;
-    value.kind = JsonValue::Kind::kBool;
-    value.bool_value = false;
-    return value;
+  if (rest.starts_with("null")) {
+    field->kind = JsonValue::Kind::kNull;
+    pos_ += 4;
+    return true;
   }
-  if (line.substr(pos, 4) == "null") {
-    pos += 4;
-    value.kind = JsonValue::Kind::kNull;
-    return value;
+  const std::size_t start = pos_;
+  while (pos_ < text_.size() &&
+         (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
+          text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
+          text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    ++pos_;
   }
-  const std::size_t start = pos;
-  while (pos < line.size() &&
-         (std::isdigit(static_cast<unsigned char>(line[pos])) != 0 ||
-          line[pos] == '-' || line[pos] == '+' || line[pos] == '.' ||
-          line[pos] == 'e' || line[pos] == 'E')) {
-    ++pos;
-  }
-  if (pos == start) {
-    return ParseError("expected value", pos);
+  if (pos_ == start) {
+    return Fail("expected value", pos_);
   }
   // std::from_chars, not strtod: strtod is locale-dependent, and under a
   // comma-decimal locale it would stop at the '.' in "0.5" and mis-parse
   // bench-JSON round-trips. from_chars always uses the C-locale grammar.
-  const std::string_view token = line.substr(start, pos - start);
-  double parsed = 0.0;
-  const auto [end, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), parsed);
-  if (ec != std::errc{} || end != token.data() + token.size()) {
-    return ParseError("bad number", start);
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  const auto [end, ec] = std::from_chars(first, last, field->number_value);
+  if (ec != std::errc{} || end != last) {
+    return Fail("bad number", start);
   }
-  value.kind = JsonValue::Kind::kNumber;
-  value.number_value = parsed;
-  return value;
+  field->kind = JsonValue::Kind::kNumber;
+  return true;
 }
 
-}  // namespace
-
-Result<JsonObject> ParseFlatJson(std::string_view line) {
-  std::size_t pos = 0;
-  SkipSpace(line, pos);
-  if (pos >= line.size() || line[pos] != '{') {
-    return ParseError("expected '{'", pos);
+bool FlatJsonScanner::Next(JsonField* field) {
+  switch (state_) {
+    case State::kStart:
+      SkipSpace();
+      if (pos_ >= text_.size() || text_[pos_] != '{') {
+        return Fail("expected '{'", pos_);
+      }
+      ++pos_;
+      SkipSpace();
+      if (pos_ < text_.size() && text_[pos_] == '}') {
+        ++pos_;
+        return End();
+      }
+      state_ = State::kFields;
+      break;
+    case State::kFields:
+      // The separator after the previous field's value.
+      SkipSpace();
+      if (pos_ >= text_.size()) {
+        return Fail("unterminated object", pos_);
+      }
+      if (text_[pos_] == '}') {
+        ++pos_;
+        return End();
+      }
+      if (text_[pos_] != ',') {
+        return Fail("expected ',' or '}'", pos_);
+      }
+      ++pos_;
+      break;
+    case State::kDone:
+      return false;
   }
-  ++pos;
-  JsonObject object;
-  SkipSpace(line, pos);
-  if (pos < line.size() && line[pos] == '}') {
-    ++pos;
-  } else {
-    for (;;) {
-      SkipSpace(line, pos);
-      auto key = ParseString(line, pos);
-      if (!key.ok()) {
-        return key.status();
-      }
-      SkipSpace(line, pos);
-      if (pos >= line.size() || line[pos] != ':') {
-        return ParseError("expected ':'", pos);
-      }
-      ++pos;
-      auto value = ParseValue(line, pos);
-      if (!value.ok()) {
-        return value.status();
-      }
-      object[std::move(key).value()] = std::move(value).value();
-      SkipSpace(line, pos);
-      if (pos >= line.size()) {
-        return ParseError("unterminated object", pos);
-      }
-      if (line[pos] == ',') {
-        ++pos;
-        continue;
-      }
-      if (line[pos] == '}') {
-        ++pos;
+  SkipSpace();
+  if (!ScanString(&field->key, &field->key_escaped)) {
+    return false;
+  }
+  SkipSpace();
+  if (pos_ >= text_.size() || text_[pos_] != ':') {
+    return Fail("expected ':'", pos_);
+  }
+  ++pos_;
+  return ScanValue(field);
+}
+
+void AppendJsonUnescaped(std::string& out, std::string_view raw) {
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t slash = raw.find('\\', pos);
+    out.append(raw, pos,
+               slash == std::string_view::npos ? std::string_view::npos
+                                               : slash - pos);
+    if (slash == std::string_view::npos) {
+      return;
+    }
+    // The scanner checked this escape, so it is complete and known.
+    const char kind = raw[slash + 1];
+    pos = slash + 2;
+    switch (kind) {
+      case 'n':
+        out += '\n';
+        break;
+      case 't':
+        out += '\t';
+        break;
+      case 'r':
+        out += '\r';
+        break;
+      case 'u': {
+        unsigned code = 0;
+        for (std::size_t i = 0; i < 4; ++i) {
+          const char h = raw[pos + i];
+          code = code * 16 + static_cast<unsigned>(
+                                 h <= '9'   ? h - '0'
+                                 : h <= 'F' ? h - 'A' + 10
+                                            : h - 'a' + 10);
+        }
+        pos += 4;
+        out += static_cast<char>(code);
         break;
       }
-      return ParseError("expected ',' or '}'", pos);
+      default:  // '"', '\\', '/'
+        out += kind;
     }
   }
-  SkipSpace(line, pos);
-  if (pos != line.size()) {
-    return ParseError("trailing characters", pos);
+}
+
+Result<JsonObject> ParseFlatJson(std::string_view line) {
+  FlatJsonScanner scanner(line);
+  JsonObject object;
+  JsonField field;
+  std::string key;
+  while (scanner.Next(&field)) {
+    key.clear();
+    AppendJsonUnescaped(key, field.key);
+    JsonValue value;
+    value.kind = field.kind;
+    if (field.kind == JsonValue::Kind::kString) {
+      AppendJsonUnescaped(value.string_value, field.text);
+    } else if (field.kind == JsonValue::Kind::kNumber) {
+      value.number_value = field.number_value;
+    } else if (field.kind == JsonValue::Kind::kBool) {
+      value.bool_value = field.bool_value;
+    }
+    object[key] = std::move(value);  // a key given twice keeps the last
+  }
+  if (!scanner.status().ok()) {
+    return scanner.status();
   }
   return object;
 }

@@ -41,9 +41,31 @@ class JsonObjectWriter {
 /// Escapes `raw` for inclusion inside a JSON string literal.
 std::string JsonEscape(std::string_view raw);
 
+/// Appends `JsonEscape(raw)` to `out`, copying each run of bytes that needs
+/// no escape whole.
+void AppendJsonEscaped(std::string& out, std::string_view raw);
+
 /// Formats a double for JSON with round-trip precision; "null" for
 /// non-finite values.
 std::string JsonDouble(double value);
+
+/// The most bytes `WriteJsonDouble` writes ("-2.2250738585072014e-308").
+inline constexpr std::size_t kJsonDoubleMaxChars = 24;
+
+/// \brief The digits writer behind every JSON double: writes `value` at
+/// `out` exactly as printf("%.17g") does in the C locale (so as
+/// `std::to_chars(general, 17)` does), or "null" when it is not finite,
+/// and returns the end. `out` must have room for kJsonDoubleMaxChars.
+///
+/// For 2^-20 <= |value| < 1e17 the 17 digits come from one 128-bit
+/// product of the significand and a power of ten, shifted by the binary
+/// exponent and rounded half-to-even on the exact remainder, so they are
+/// the correctly rounded digits; every other value goes to std::to_chars
+/// (DESIGN §11.4).
+char* WriteJsonDouble(char* out, double value);
+
+/// Appends `WriteJsonDouble(value)`'s bytes to `out`.
+void AppendJsonDouble(std::string& out, double value);
 
 /// \brief One decoded value of a flat JSON object.
 struct JsonValue {
@@ -58,11 +80,69 @@ struct JsonValue {
 /// by any string-like key.
 using JsonObject = std::map<std::string, JsonValue, std::less<>>;
 
+/// \brief One field of a flat JSON object as `FlatJsonScanner` reads it:
+/// views into the scanned text, valid while the text is. A string's
+/// escapes are checked but not undone; `AppendJsonUnescaped` undoes them.
+struct JsonField {
+  std::string_view key;      ///< the key's bytes between its quotes
+  bool key_escaped = false;  ///< `key` holds a backslash escape
+  JsonValue::Kind kind = JsonValue::Kind::kNull;
+  std::string_view text;      ///< kString: the bytes between the quotes
+  bool escaped = false;       ///< kString: `text` holds a backslash escape
+  double number_value = 0.0;  ///< kNumber
+  bool bool_value = false;    ///< kBool
+};
+
+/// \brief The one reader of the flat-JSON grammar: walks an object field
+/// by field without allocating. `ParseFlatJson` and the wire codec's JSON
+/// decoders all read through it, so they accept the same texts and fail
+/// with the same errors.
+///
+///   FlatJsonScanner scanner(text);
+///   JsonField field;
+///   while (scanner.Next(&field)) { ... }
+///   if (!scanner.status().ok()) { ... }
+///
+/// Fields come in text order; a key that appears twice is reported twice,
+/// and a reader that keeps the last one reads what ParseFlatJson's map
+/// holds.
+class FlatJsonScanner {
+ public:
+  explicit FlatJsonScanner(std::string_view text) : text_(text) {}
+
+  /// Reads the next field into `*field`. False at the end of the object
+  /// (only whitespace may follow its '}') or at the first malformed byte;
+  /// `status()` tells which.
+  bool Next(JsonField* field);
+
+  /// OK until a malformed byte is met; then InvalidArgument, naming it and
+  /// its offset.
+  const Status& status() const { return status_; }
+
+ private:
+  bool Fail(std::string_view what, std::size_t pos);
+  bool End();
+  bool ScanString(std::string_view* raw, bool* escaped);
+  bool ScanValue(JsonField* field);
+  void SkipSpace();
+
+  enum class State { kStart, kFields, kDone };
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  State state_ = State::kStart;
+  Status status_;
+};
+
+/// Appends the unescaped bytes of a string `FlatJsonScanner` read
+/// (`JsonField::key` or `JsonField::text`) to `out`.
+void AppendJsonUnescaped(std::string& out, std::string_view raw);
+
 /// \brief Parses one flat JSON object line (as produced by
 /// JsonObjectWriter): string / number / true / false / null values only —
 /// no nesting. The bench harnesses read their own output back through
 /// this (bench_scalability's determinism check), so writer and reader
-/// cannot drift apart. Fails with InvalidArgument on malformed input.
+/// cannot drift apart. Fails with InvalidArgument on malformed input. A
+/// key given twice keeps its last value.
 Result<JsonObject> ParseFlatJson(std::string_view line);
 
 /// Writes one JSON line per counter and per distribution of `snapshot` to

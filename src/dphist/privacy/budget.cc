@@ -27,8 +27,9 @@ Status BudgetAccountant::ChargeSequential(double epsilon, std::string label) {
 
 Status BudgetAccountant::ChargeSequential(double epsilon, double delta,
                                           std::string label) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("budget charge must have epsilon > 0");
+  if (!ChargeableEpsilon(epsilon)) {
+    return Status::InvalidArgument(
+        "budget charge must have a finite epsilon > 0");
   }
   if (delta < 0.0) {
     return Status::InvalidArgument("budget charge must have delta >= 0");
@@ -61,8 +62,9 @@ Status BudgetAccountant::ChargeSequential(double epsilon, double delta,
 
 Status BudgetAccountant::ChargeParallel(double epsilon, std::string group,
                                         std::string label) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("budget charge must have epsilon > 0");
+  if (!ChargeableEpsilon(epsilon)) {
+    return Status::InvalidArgument(
+        "budget charge must have a finite epsilon > 0");
   }
   // Tentatively raise the group's max, evaluate the prospective spend, and
   // roll the table back on refusal — the same accept/reject arithmetic as

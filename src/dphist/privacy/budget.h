@@ -1,6 +1,7 @@
 #ifndef DPHIST_PRIVACY_BUDGET_H_
 #define DPHIST_PRIVACY_BUDGET_H_
 
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
@@ -70,10 +71,18 @@ class BudgetAccountant {
   /// (epsilon, delta)-DP mechanisms. Non-positive grants are pinned to 0.
   BudgetAccountant(double total_epsilon, double total_delta);
 
+  /// True when `epsilon` is finite and > 0, the only epsilons a charge
+  /// accepts. A NaN passes `epsilon <= 0` and would make the spent sum NaN,
+  /// after which no `spent + epsilon > total` test is ever true; an
+  /// infinite epsilon is no budget at all.
+  static bool ChargeableEpsilon(double epsilon) {
+    return epsilon > 0.0 && std::isfinite(epsilon);
+  }
+
   /// Records a sequential charge of `epsilon` with `label`.
-  /// Fails with InvalidArgument if epsilon <= 0, and with ResourceExhausted
-  /// if the remaining budget is insufficient (up to a small floating-point
-  /// tolerance).
+  /// Fails with InvalidArgument unless ChargeableEpsilon(epsilon), and with
+  /// ResourceExhausted if the remaining budget is insufficient (up to a
+  /// small floating-point tolerance).
   Status ChargeSequential(double epsilon, std::string label);
 
   /// Records a sequential (epsilon, delta) charge. Deltas compose
@@ -84,7 +93,8 @@ class BudgetAccountant {
   Status ChargeSequential(double epsilon, double delta, std::string label);
 
   /// Records a parallel charge of `epsilon` under `group`: all charges with
-  /// the same group key count once at their maximum epsilon.
+  /// the same group key count once at their maximum epsilon. Refuses the
+  /// epsilons ChargeSequential refuses.
   Status ChargeParallel(double epsilon, std::string group, std::string label);
 
   /// Total epsilon granted at construction.

@@ -1,5 +1,7 @@
 #include "dphist/serve/release_cache.h"
 
+#include <bit>
+
 #include <tuple>
 #include <utility>
 
@@ -52,10 +54,17 @@ obs::Counter& FrameMissCounter() {
 
 bool ReleaseKeyLess::operator()(const ReleaseKey& a,
                                 const ReleaseKey& b) const {
-  return std::tie(a.dataset_fingerprint, a.tenant, a.dataset, a.publisher,
-                  a.epsilon, a.seed) <
-         std::tie(b.dataset_fingerprint, b.tenant, b.dataset, b.publisher,
-                  b.epsilon, b.seed);
+  // Epsilon by its bit pattern: a total order, which for the positive
+  // finite epsilons every key carries is the numeric one. As a double, a
+  // NaN would compare unordered and end the comparison, aliasing every
+  // key that differs from it only in epsilon or seed.
+  const auto fields = [](const ReleaseKey& key) {
+    return std::tuple<std::uint64_t, const std::string&, const std::string&,
+                      const std::string&, std::uint64_t, std::uint64_t>(
+        key.dataset_fingerprint, key.tenant, key.dataset, key.publisher,
+        std::bit_cast<std::uint64_t>(key.epsilon), key.seed);
+  };
+  return fields(a) < fields(b);
 }
 
 SealedRelease::SealedRelease(ReleaseKey key, Histogram histogram)

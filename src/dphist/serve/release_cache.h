@@ -52,9 +52,10 @@ struct ReleaseKey {
 };
 
 /// Strict weak order over ReleaseKey for map storage (field-wise
-/// lexicographic, cheap fingerprint first; epsilon compared as a double,
-/// which is exact for the cache's purposes — keys come from
-/// caller-supplied values, not derived arithmetic).
+/// lexicographic, cheap fingerprint first; epsilon by its bit pattern,
+/// which for positive finite epsilons is the numeric order and keeps even
+/// a NaN from aliasing other keys — keys come from caller-supplied values,
+/// not derived arithmetic).
 struct ReleaseKeyLess {
   bool operator()(const ReleaseKey& a, const ReleaseKey& b) const;
 };

@@ -83,6 +83,21 @@ std::chrono::nanoseconds NextBackoff(std::chrono::nanoseconds backoff,
   return std::min(grown, retry.max_backoff);
 }
 
+// A request's epsilon names a release only when the ledger could charge
+// it: finite and positive.
+bool ValidRequestEpsilon(double epsilon) {
+  return BudgetAccountant::ChargeableEpsilon(epsilon);
+}
+
+Status CheckRequestEpsilon(const ServeRequest& request) {
+  if (ValidRequestEpsilon(request.epsilon)) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "request epsilon must be finite and > 0, got " +
+      std::to_string(request.epsilon));
+}
+
 // A release and its journal record, each way. The record's namespace,
 // fingerprint, publisher, epsilon and seed are the release's key; its body
 // is the dense counts (kPublish) or the sparse domain, keys and counts
@@ -253,6 +268,7 @@ ReleaseServer::Dataset* ReleaseServer::DefaultDataset() const {
 
 Result<std::shared_ptr<const SealedRelease>> ReleaseServer::GetRelease(
     const TenantKey& tenant_key, const ServeRequest& request) {
+  DPHIST_RETURN_IF_ERROR(CheckRequestEpsilon(request));
   DPHIST_ASSIGN_OR_RETURN(Dataset* dataset, FindDataset(tenant_key));
   const ReleaseKey key{tenant_key.tenant,   tenant_key.dataset,
                        dataset->fingerprint, request.publisher,
@@ -320,6 +336,7 @@ Result<std::shared_ptr<const SealedRelease>> ReleaseServer::GetRelease(
 Result<BatchAnswer> ReleaseServer::AnswerBatch(
     const TenantKey& tenant_key, const std::vector<RangeQuery>& queries,
     const ServeRequest& request) {
+  DPHIST_RETURN_IF_ERROR(CheckRequestEpsilon(request));
   DPHIST_ASSIGN_OR_RETURN(Dataset* dataset, FindDataset(tenant_key));
   DPHIST_RETURN_IF_ERROR(ValidateQueries(queries, dataset->domain()));
   obs::ScopedTimer batch_timer("serve/batch");
@@ -429,6 +446,9 @@ void ReleaseServer::AnswerInto(const SealedRelease& release,
 
 std::shared_ptr<const SealedRelease> ReleaseServer::TryGetCached(
     const TenantKey& tenant_key, const ServeRequest& request) const {
+  if (!ValidRequestEpsilon(request.epsilon)) {
+    return nullptr;  // GetRelease gives the typed refusal
+  }
   auto dataset = FindDataset(tenant_key);
   if (!dataset.ok()) {
     return nullptr;
@@ -442,6 +462,7 @@ std::shared_ptr<const SealedRelease> ReleaseServer::TryGetCached(
 Result<bool> ReleaseServer::TryAnswerCached(
     const TenantKey& tenant_key, const std::vector<RangeQuery>& queries,
     const ServeRequest& request, BatchAnswer* out) {
+  DPHIST_RETURN_IF_ERROR(CheckRequestEpsilon(request));
   DPHIST_ASSIGN_OR_RETURN(Dataset* dataset, FindDataset(tenant_key));
   std::shared_ptr<const SealedRelease> release = cache_.Lookup(
       {tenant_key.tenant, tenant_key.dataset, dataset->fingerprint,
@@ -510,9 +531,11 @@ Result<RecoveryStats> ReleaseServer::Recover(const ReplayResult& replay) {
         // same data (fingerprint), and the same representation and domain
         // size, since queries are validated against the dataset and then
         // read the release unchecked. A sparse body that breaks the sparse
-        // invariants cannot be replayed either; skip rather than fail the
-        // whole recovery.
-        if (record.fingerprint != registered.fingerprint || !release.ok() ||
+        // invariants cannot be replayed either, nor can a release under
+        // an epsilon no request may name; skip rather than fail the whole
+        // recovery.
+        if (record.fingerprint != registered.fingerprint ||
+            !ValidRequestEpsilon(record.epsilon) || !release.ok() ||
             release.value()->is_sparse() != registered.is_sparse() ||
             release.value()->size() != registered.domain()) {
           ++stats.skipped;

@@ -222,7 +222,9 @@ class ReleaseServer {
                           double total_epsilon);
 
   /// Returns the (cached or newly published) release for `request` in
-  /// `key`'s namespace. Errors: kPermissionDenied when `key.dataset`
+  /// `key`'s namespace. Errors: kInvalidArgument, before any lookup, for
+  /// an epsilon that is NaN, infinite or not positive (every entry point
+  /// below refuses it the same way); kPermissionDenied when `key.dataset`
   /// exists only under other tenants, kNotFound for an unknown dataset or
   /// publisher name, kResourceExhausted when the ledger refuses the
   /// charge, kInvalidArgument for bad publish arguments, and the journal's
@@ -236,7 +238,8 @@ class ReleaseServer {
       const ServeRequest& request);
 
   /// The already-sealed release for `request`, or null when it is not
-  /// cached (or the namespace is unknown). Never publishes, never charges,
+  /// cached (or the namespace is unknown, or the epsilon one GetRelease
+  /// refuses). Never publishes, never charges,
   /// never journals, never degrades — the serving fast lane: one
   /// shared-lock registry read plus one shard-mutex cache lookup, after
   /// which the caller holds an immutable snapshot and touches no server
@@ -279,8 +282,9 @@ class ReleaseServer {
   /// before serving. Records for unregistered namespaces, and publish
   /// records that do not fit the registered truth (another fingerprint,
   /// the other representation, another domain size, or a sparse body that
-  /// breaks the sparse invariants), are counted in `skipped`, never
-  /// applied.
+  /// breaks the sparse invariants, or an epsilon a request could not
+  /// name), are counted in `skipped`, never applied. A charge record the
+  /// ledger refuses as malformed (a NaN epsilon) fails the recovery.
   Result<RecoveryStats> Recover(const ReplayResult& replay);
 
   /// Number of registered namespaces.

@@ -1,6 +1,7 @@
 #include "dphist/privacy/budget.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -27,6 +28,25 @@ TEST(BudgetTest, SequentialChargesAccumulate) {
   EXPECT_TRUE(budget.ChargeSequential(0.5, "counts").ok());
   EXPECT_DOUBLE_EQ(budget.spent_epsilon(), 0.8);
   EXPECT_NEAR(budget.remaining_epsilon(), 0.2, 1e-12);
+}
+
+TEST(BudgetTest, NonFiniteEpsilonIsRefusedAndTheBudgetStillBinds) {
+  // A NaN passes `epsilon <= 0`; recorded, it would make the spent sum
+  // NaN, after which no charge is ever refused.
+  BudgetAccountant budget(1.0);
+  for (const double epsilon : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(budget.ChargeSequential(epsilon, "seq").code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(budget.ChargeParallel(epsilon, "group", "par").code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(budget.charges().empty());
+  EXPECT_EQ(budget.spent_epsilon(), 0.0);
+  EXPECT_TRUE(budget.ChargeSequential(0.9, "a").ok());
+  EXPECT_EQ(budget.ChargeSequential(0.2, "b").code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(BudgetTest, RejectsOverspend) {

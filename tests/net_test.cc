@@ -14,6 +14,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -199,6 +200,43 @@ TEST(NetTest, ErrorsAreTyped) {
   auto nf = client.RoundTrip(wrong);
   ASSERT_TRUE(nf.ok());
   EXPECT_EQ(nf.value().status, 404);
+}
+
+TEST(NetTest, NonFiniteEpsilonOverTheWireIsBadRequestAndChargesNothing) {
+  // The binary codec carries any epsilon bits. A NaN or infinite one is a
+  // typed 400 before any lookup, in both lanes, with nothing charged, and
+  // the next valid request on the connection is charged once.
+  TestStack stack(2);
+  ASSERT_TRUE(stack.Query(TestQuery(/*seed=*/3), /*binary=*/true).ok());
+  const serve::BudgetLedger& ledger = stack.release_server.ledger();
+  const std::size_t charges = ledger.charge_count();
+  const double spent = ledger.spent_epsilon();
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()).ok());
+  for (const double epsilon : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+    WireQueryRequest query = TestQuery(/*seed=*/3);
+    query.request.epsilon = epsilon;
+    for (const char* target : {"/v1/query", "/v1/release"}) {
+      HttpMessage request;
+      request.method = "POST";
+      request.target = target;
+      request.headers["content-type"] = kContentTypeBinary;
+      request.body = EncodeQueryRequest(query);
+      auto response = client.RoundTrip(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response.value().status, 400) << target << " " << epsilon;
+      EXPECT_EQ(response.value().Header("x-dphist-status"), "InvalidArgument")
+          << target << " " << epsilon;
+    }
+  }
+  EXPECT_EQ(ledger.charge_count(), charges);
+  EXPECT_EQ(ledger.spent_epsilon(), spent);
+  auto next = client.Query(TestQuery(/*seed=*/4), /*binary=*/true);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.value().served.seed, 4u);
+  EXPECT_EQ(ledger.charge_count(), charges + 1);
 }
 
 TEST(NetTest, JsonSeedPastExactIntegersIsBadRequest) {

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -470,6 +471,59 @@ TEST(RecoveryTest, ShortDenseRecordIsSkippedNotInstalled) {
       acme, {{0, 1000}}, {"noise_first", 0.5, 1}, &answer);
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   EXPECT_FALSE(hit.value());
+}
+
+TEST(RecoveryTest, NonFiniteEpsilonPublishRecordsAreSkipped) {
+  // No request may name a release under a NaN or infinite epsilon, and a
+  // NaN key once matched every key differing from it only in epsilon or
+  // seed: Recover skips such a record in either representation.
+  for (const double epsilon : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+    JournalRecord dense = PublishRecordFor(
+        {"acme", "clicks"}, FingerprintHistogram(ChaosTruth(1024, 1)),
+        JournalRecord::Type::kPublish);
+    dense.counts.assign(1024, 1.0);
+    JournalRecord sparse = PublishRecordFor(
+        {"acme", "urls"},
+        sparse::FingerprintSparseHistogram(SparseChaosTruth()),
+        JournalRecord::Type::kPublishSparse);
+    sparse.domain = 1ULL << 40;
+    sparse.keys = {1, 5};
+    sparse.counts = {2.0, 3.0};
+    for (JournalRecord* record : {&dense, &sparse}) {
+      record->epsilon = epsilon;
+      auto recovered = RecoverOneRecord(*record);
+      EXPECT_EQ(recovered.stats.releases_replayed, 0u) << epsilon;
+      EXPECT_EQ(recovered.stats.skipped, 1u) << epsilon;
+      EXPECT_EQ(recovered.server->cache().size(), 0u) << epsilon;
+    }
+  }
+}
+
+TEST(RecoveryTest, NanEpsilonChargeRecordIsRefusedOnReplay) {
+  // Replay charges through the ledger's own checks: a journaled NaN charge
+  // (which an older server could record) fails the recovery, typed, and
+  // leaves the budget whole.
+  JournalRecord charge;
+  charge.type = JournalRecord::Type::kCharge;
+  charge.key = {"acme", "clicks"};
+  charge.epsilon = std::numeric_limits<double>::quiet_NaN();
+  charge.label = "noise_first:seed=1";
+  ReleaseServer server{ReleaseServerOptions{}};
+  ASSERT_TRUE(server.AddDataset(charge.key, ChaosTruth(1024, 1), 2.0).ok());
+  auto replay =
+      ReplayJournalBytes(std::string(JournalMagic()) +
+                         EncodeJournalRecord(charge));
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  auto stats = server.Recover(replay.value());
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  const BudgetLedger& ledger = *server.LedgerFor(charge.key).value();
+  EXPECT_EQ(ledger.charge_count(), 0u);
+  EXPECT_EQ(ledger.spent_epsilon(), 0.0);
+  EXPECT_TRUE(server.GetRelease(charge.key, {"noise_first", 0.5, 1}).ok());
+  EXPECT_EQ(ledger.charge_count(), 1u);
 }
 
 TEST(SparseRecoveryTest, SmallDomainSparseRecordIsSkippedNotInstalled) {

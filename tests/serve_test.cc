@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -540,6 +541,60 @@ TEST(ReleaseServerPrepareTest, LedgerAndJournalRecordsAreUnchanged) {
     EXPECT_EQ(Bits(publish.counts),
               DirectStructureFirst(truth, 0.25, fresh[i]));
   }
+}
+
+TEST(ReleaseServerTest, NonFiniteEpsilonIsRefusedBeforeAnyLookupOrCharge) {
+  // A NaN epsilon passes `epsilon <= 0`, and in the cache's order it once
+  // matched any key differing from it only in epsilon or seed. Every
+  // entry point refuses it (and +-inf) first: no charge, no journal
+  // record, no cache entry, and no release of another key.
+  const std::string path = ::testing::TempDir() + "/serve_nan_epsilon.jnl";
+  std::remove(path.c_str());
+  auto journal = Journal::Open(path);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  ReleaseServerOptions options;
+  options.journal = journal.value().get();
+  ReleaseServer server(TestTruth(), 1.0, options);
+  ASSERT_TRUE(server.GetRelease({"noise_first", 0.5, 3}).ok());
+  const std::size_t charges = server.ledger().charge_count();
+  const double spent = server.ledger().spent_epsilon();
+  const std::size_t cached = server.cache().size();
+  const auto journal_bytes = [&path] {
+    std::FILE* file = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(file, nullptr);
+    std::fseek(file, 0, SEEK_END);
+    const long size = std::ftell(file);
+    std::fclose(file);
+    return size;
+  };
+  const long journaled = journal_bytes();
+  for (const double epsilon : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+    const ServeRequest request{"noise_first", epsilon, 3};
+    EXPECT_EQ(server.GetRelease(request).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(server.AnswerBatch({{0, 4}}, request).status().code(),
+              StatusCode::kInvalidArgument);
+    BatchAnswer answer;
+    EXPECT_EQ(server.TryAnswerCached(DefaultTenantKey(), {{0, 4}}, request,
+                                     &answer)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(server.TryGetCached(DefaultTenantKey(), request), nullptr);
+  }
+  EXPECT_EQ(server.ledger().charge_count(), charges);
+  EXPECT_EQ(server.ledger().spent_epsilon(), spent);
+  EXPECT_EQ(server.cache().size(), cached);
+  EXPECT_EQ(journal_bytes(), journaled);
+  // The next valid request is charged once, and the budget still binds.
+  ASSERT_TRUE(server.GetRelease({"noise_first", 0.4, 4}).ok());
+  EXPECT_EQ(server.ledger().charge_count(), charges + 1);
+  EXPECT_DOUBLE_EQ(server.ledger().spent_epsilon(), spent + 0.4);
+  EXPECT_EQ(server.GetRelease({"noise_first", 0.2, 5}).status().code(),
+            StatusCode::kResourceExhausted);
+  std::remove(path.c_str());
 }
 
 }  // namespace

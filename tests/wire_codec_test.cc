@@ -9,8 +9,11 @@
 
 #include "dphist/net/wire_codec.h"
 
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -18,6 +21,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -649,36 +653,466 @@ void ExpectTypedOrStable(const std::string& input) {
       << input;
 }
 
-TEST(WireCodecTest, DecodeJsonEveryTruncationAndSubstitutionIsTypedOrStable) {
+// DecodeQueryRequestJson reads what DecodeJson reads: the same query
+// request, or DecodeJson's error, or Ok(false) where the message is not a
+// query request. One view is reused across inputs, as the event loop
+// reuses it.
+void ExpectViewAgrees(const std::string& input,
+                      const Result<WireMessage>& full) {
+  static QueryRequestView view;
+  auto in_place = DecodeQueryRequestJson(input, &view);
+  if (full.ok() && full.value().type == WireType::kQueryRequest) {
+    ASSERT_TRUE(in_place.ok()) << in_place.status().ToString() << input;
+    ASSERT_TRUE(in_place.value()) << input;
+    const WireQueryRequest& request = full.value().query_request;
+    EXPECT_EQ(view.tenant, request.tenant) << input;
+    EXPECT_EQ(view.dataset, request.dataset) << input;
+    EXPECT_EQ(view.publisher, request.request.publisher) << input;
+    EXPECT_EQ(std::memcmp(&view.epsilon, &request.request.epsilon,
+                          sizeof(double)),
+              0)
+        << input;
+    EXPECT_EQ(view.seed, request.request.seed) << input;
+    EXPECT_EQ(view.queries, request.queries) << input;
+    return;
+  }
+  if (in_place.ok()) {
+    EXPECT_FALSE(in_place.value()) << input;
+    return;
+  }
+  ASSERT_FALSE(full.ok()) << input;
+  EXPECT_EQ(in_place.status().code(), full.status().code()) << input;
+  EXPECT_EQ(in_place.status().message(), full.status().message()) << input;
+}
+
+// The JSON decoders' byte-level corpus, by section: for a JSON query
+// request and a batch answer, the whole message, every truncation, every
+// substitution of a quote, backslash, digit, comma, NUL or 0x80 at every
+// position, and 2000 seeded pairs of substitutions; then hand-written
+// edge cases of the grammar (duplicate keys, escaped keys and types,
+// trailing bytes, numbers, nesting).
+std::vector<std::pair<std::string, std::vector<std::string>>>
+JsonCorpus() {
   WireQueryRequest request = SampleQueryRequest(5);
   request.tenant = "a\"b\\c";
   WireBatchAnswer answer = SampleBatchAnswer(5);
   answer.served.publisher = "pub\nlisher";
-  const std::string inputs[] = {EncodeQueryRequestJson(request),
-                                EncodeBatchAnswerJson(answer)};
+  const std::pair<std::string, std::string> bases[] = {
+      {"query_request", EncodeQueryRequestJson(request)},
+      {"batch_answer", EncodeBatchAnswerJson(answer)}};
   const char substitutes[] = {'"', '\\', '7', ',', '\0',
                               static_cast<char>(0x80)};
+  std::vector<std::pair<std::string, std::vector<std::string>>> corpus;
   std::mt19937_64 rng(918273);
-  for (const std::string& input : inputs) {
-    ExpectTypedOrStable(input);
+  for (const auto& [name, input] : bases) {
+    corpus.push_back({name + ".whole", {input}});
+    std::vector<std::string> truncations;
     for (std::size_t length = 0; length < input.size(); ++length) {
-      ExpectTypedOrStable(input.substr(0, length));
+      truncations.push_back(input.substr(0, length));
     }
-    // Every substitute at every position, plus seeded pairs of them.
+    corpus.push_back({name + ".truncations", truncations});
+    std::vector<std::string> substitutions;
     for (std::size_t at = 0; at < input.size(); ++at) {
       for (const char substitute : substitutes) {
         std::string mutated = input;
         mutated[at] = substitute;
-        ExpectTypedOrStable(mutated);
+        substitutions.push_back(mutated);
       }
     }
+    corpus.push_back({name + ".substitutions", substitutions});
+    std::vector<std::string> seeded;
     for (int trial = 0; trial < 2000; ++trial) {
       std::string mutated = input;
       for (int i = 0; i < 2; ++i) {
         mutated[rng() % mutated.size()] = substitutes[rng() % 6];
       }
-      ExpectTypedOrStable(mutated);
+      seeded.push_back(mutated);
     }
+    corpus.push_back({name + ".seeded", seeded});
+  }
+
+  const std::string query = EncodeQueryRequestJson(SampleQueryRequest(2));
+  const std::string open = query.substr(0, query.size() - 1);  // no '}'
+  const std::string tail = query.substr(1);  // after the '{'
+  std::vector<std::string> edges = {
+      // Duplicate keys: the last one counts, whatever its kind.
+      open + ",\"tenant\":\"second\"}",
+      open + ",\"seed\":7.5}",
+      open + ",\"seed\":\"8\"}",
+      open + ",\"queries\":\"3-4\"}",
+      open + ",\"epsilon\":\"0.5\"}",
+      open + ",\"type\":\"batch_answer\"}",
+      "{\"type\":\"error\"," + tail,
+      // Escaped keys and values.
+      "{\"ten\\u0061nt\":\"x\"," + tail,
+      open + ",\"t\\u0065nant\":\"\\\"q\\\\\"}",
+      open + ",\"queries\":\"\\u0031-2\"}",
+      open + ",\"seed\":\"\\u0039\"}",
+      "{\"type\":\"query_\\u0072equest\"," + tail.substr(tail.find(',') + 1),
+      "{\"type\":\"w\\\"at\"}",
+      "{\"type\":\"\\u00e9\"}",
+      "{\"type\":\"\\u0000\"}",
+      // Trailing bytes and whitespace.
+      query + " x",
+      query + "}",
+      query + ",",
+      query + "\n",
+      " \t" + query + "\r\n ",
+      "{ \"type\" : \"error\" , \"code\" : 3 , \"message\" : \"m\" }",
+      // Objects that are not flat, or not objects.
+      "{}",
+      "{ }",
+      "",
+      "[]",
+      "{\"type\":{\"a\":1}}",
+      "{\"type\":[1]}",
+      "{\"type\":\"error\",\"code\":1,\"message\":\"m\",}",
+      "{,}",
+      "{\"type\"}",
+      "{\"type\":}",
+      "{\"type\" \"error\"}",
+      "{type:\"error\"}",
+      // Numbers and literals.
+      open + ",\"epsilon\":1e400}",
+      open + ",\"epsilon\":-0}",
+      open + ",\"epsilon\":+1}",
+      open + ",\"epsilon\":1.}",
+      open + ",\"epsilon\":.5}",
+      open + ",\"epsilon\":0x10}",
+      open + ",\"epsilon\":1e-400}",
+      open + ",\"epsilon\":null}",
+      open + ",\"epsilon\":truex}",
+      open + ",\"epsilon\":nul}",
+      open + ",\"seed\":9007199254740991}",
+      open + ",\"seed\":-0}",
+      open + ",\"seed\":\"007\"}",
+      open + ",\"seed\":\"\"}",
+      open + ",\"seed\":\"18446744073709551616\"}",
+      // Query lists.
+      open + ",\"queries\":\"\"}",
+      open + ",\"queries\":\"1-2,\"}",
+      open + ",\"queries\":\"1-2-3\"}",
+      open + ",\"queries\":\"18446744073709551615-0\"}",
+      open + ",\"queries\":\"18446744073709551616-1\"}",
+      open + ",\"queries\":\"+1-2\"}",
+      open + ",\"queries\":\" 1-2\"}",
+      open + ",\"queries\":\"1-2,,3-4\"}",
+      // Other message types.
+      "{\"type\":\"error\",\"code\":3,\"message\":\"m\"}",
+      "{\"type\":\"error\",\"code\":4294967296,\"message\":\"m\"}",
+      "{\"type\":\"error\",\"code\":1e15,\"message\":\"m\"}",
+      "{\"type\":\"error\",\"code\":\"3\",\"message\":\"m\"}",
+      EncodeHistogramJson(GoldenHistogram()),
+      EncodeSparseHistogramJson(GoldenSparseHistogram()),
+      EncodeErrorJson(Status::NotFound("no \"such\" key\n")),
+  };
+  corpus.push_back({"edge_cases", edges});
+  return corpus;
+}
+
+// One DecodeJson outcome as bytes: the status code and message, or the
+// decoded message in the binary codec, which carries every bit.
+std::string DecodeOutcome(const Result<WireMessage>& decoded) {
+  if (!decoded.ok()) {
+    return "E" + std::to_string(static_cast<int>(decoded.status().code())) +
+           ":" + decoded.status().message();
+  }
+  const WireMessage& message = decoded.value();
+  switch (message.type) {
+    case WireType::kQueryRequest:
+      return "Q" + EncodeQueryRequest(message.query_request);
+    case WireType::kBatchAnswer:
+      return "A" + EncodeBatchAnswer(message.batch_answer);
+    case WireType::kHistogram:
+      return "H" + EncodeHistogram(message.histogram);
+    case WireType::kSparseHistogram:
+      return "S" + EncodeSparseHistogram(message.sparse_histogram);
+    case WireType::kError:
+      return "R" + std::to_string(static_cast<int>(message.error.code)) + ":" +
+             message.error.message;
+  }
+  return "?";
+}
+
+// FNV-1a, 64-bit, over length-prefixed outcomes.
+void Digest(std::uint64_t* hash, std::string_view bytes) {
+  const std::string length = std::to_string(bytes.size()) + ":";
+  for (const std::string_view part : {std::string_view(length), bytes}) {
+    for (const char c : part) {
+      *hash = (*hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+  }
+}
+
+TEST(WireCodecTest, DecodeJsonEveryTruncationAndSubstitutionIsTypedOrStable) {
+  for (const auto& [name, inputs] : JsonCorpus()) {
+    if (name == "edge_cases") {
+      continue;  // not all of them re-encode to the same shape
+    }
+    for (const std::string& input : inputs) {
+      ExpectTypedOrStable(input);
+    }
+  }
+}
+
+TEST(WireCodecTest, JsonDecodersGiveTheRecordedOutcomeForEveryCorpusInput) {
+  // tests/testdata/wire_json_decode_outcomes_v1.txt holds, per corpus
+  // section, the input count and a digest of DecodeJson's outcome for
+  // each input (status code and message, or the decoded message's every
+  // bit), as recorded from the map-based decoder this scanner replaced.
+  // The in-place query decoder must agree with DecodeJson on each input.
+  std::istringstream recorded(
+      ReadTestData("wire_json_decode_outcomes_v1.txt"));
+  std::string line;
+  std::vector<std::string> expected;
+  while (std::getline(recorded, line)) {
+    if (!line.empty() && line[0] != '#') {
+      expected.push_back(line);
+    }
+  }
+  std::vector<std::string> actual;
+  for (const auto& [name, inputs] : JsonCorpus()) {
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const std::string& input : inputs) {
+      const auto decoded = DecodeJson(input);
+      Digest(&hash, DecodeOutcome(decoded));
+      ExpectViewAgrees(input, decoded);
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(hash));
+    actual.push_back(name + " " + std::to_string(inputs.size()) + " " + hex);
+  }
+  EXPECT_EQ(actual, expected);
+}
+
+TEST(WireCodecTest, JsonDuplicateKeysKeepTheLastAndTrailingBytesFail) {
+  // The grammar the map-based reader had: a key given twice counts once,
+  // with its last value, and nothing but whitespace may follow the '}'.
+  const std::string query = EncodeQueryRequestJson(SampleQueryRequest(2));
+  const std::string open = query.substr(0, query.size() - 1);
+  auto twice = DecodeJson(open + ",\"tenant\":\"second\"}");
+  ASSERT_TRUE(twice.ok()) << twice.status().ToString();
+  EXPECT_EQ(twice.value().query_request.tenant, "second");
+  QueryRequestView view;
+  auto in_place =
+      DecodeQueryRequestJson(open + ",\"queries\":\"3-4\"}", &view);
+  ASSERT_TRUE(in_place.ok() && in_place.value());
+  EXPECT_EQ(view.queries, (std::vector<RangeQuery>{{3, 4}}));
+  auto object = obs::ParseFlatJson("{\"a\":1,\"b\":true,\"a\":\"x\"}");
+  ASSERT_TRUE(object.ok());
+  EXPECT_EQ(object.value().at("a").string_value, "x");
+  EXPECT_FALSE(DecodeJson(open + ",\"seed\":7.5}").ok());
+
+  for (const std::string& bad : {query + " x", query + "}", query + ","}) {
+    auto decoded = DecodeJson(bad);
+    ASSERT_FALSE(decoded.ok()) << bad;
+    EXPECT_EQ(decoded.status().message(),
+              "ParseFlatJson: trailing characters at offset " +
+                  std::to_string(bad.find_first_not_of(" ", query.size())))
+        << bad;
+    EXPECT_FALSE(DecodeQueryRequestJson(bad, &view).ok()) << bad;
+  }
+  EXPECT_TRUE(DecodeJson(" " + query + " \n").ok());
+}
+
+TEST(WireCodecTest, JsonQueryViewUnescapesIntoItsScratch) {
+  WireQueryRequest request = SampleQueryRequest(3);
+  request.tenant = "t\"e\\n\nant";
+  request.dataset = "plain";
+  request.request.publisher = "p\x01ub";
+  // The views point into the body (or the view's scratch), so the body
+  // outlives them.
+  const std::string body = EncodeQueryRequestJson(request);
+  QueryRequestView view;
+  for (int round = 0; round < 2; ++round) {
+    auto decoded = DecodeQueryRequestJson(body, &view);
+    ASSERT_TRUE(decoded.ok() && decoded.value());
+    EXPECT_EQ(view.tenant, request.tenant);
+    EXPECT_EQ(view.dataset, request.dataset);
+    EXPECT_EQ(view.publisher, request.request.publisher);
+    EXPECT_EQ(view.queries, request.queries);
+  }
+  // Another message type is Ok(false); a broken one is DecodeJson's error.
+  auto other = DecodeQueryRequestJson(
+      EncodeBatchAnswerJson(SampleBatchAnswer(1)), &view);
+  ASSERT_TRUE(other.ok());
+  EXPECT_FALSE(other.value());
+  auto broken = DecodeQueryRequestJson("{\"type\":\"query_request\"}", &view);
+  ASSERT_FALSE(broken.ok());
+  EXPECT_EQ(broken.status().message(),
+            "wire codec: malformed json query request");
+}
+
+TEST(WireCodecTest, InPlaceJsonAnswerIsTheEncodedAnswer) {
+  // Appended behind other bytes, the in-place writer gives exactly the
+  // encoder's bytes, inside its size bound, at every batch size.
+  const serve::ReleaseKey short_key{"t", "d", ~0ull, "p", -1e-300, ~0ull};
+  for (const serve::ReleaseKey& key : {GoldenKey(), short_key}) {
+    for (const std::size_t size : {0, 1, 37, 1024}) {
+      WireBatchAnswer answer = SampleBatchAnswer(size);
+      answer.served = key;
+      std::string out = "prefix";
+      AppendBatchAnswerJson(out, answer.answers, answer.stale,
+                            answer.cache_hit, answer.served);
+      EXPECT_EQ(out, "prefix" + EncodeBatchAnswerJson(answer));
+      EXPECT_LE(out.size() - 6, BatchAnswerJsonSizeBound(key, size));
+    }
+  }
+  WireBatchAnswer golden = GoldenBatchAnswer();
+  std::string out;
+  AppendBatchAnswerJson(out, golden.answers, golden.stale, golden.cache_hit,
+                        golden.served);
+  EXPECT_EQ(out, ReadTestData("wire_batch_answer_v1.json"));
+}
+
+// --- the digits writer: %.17g, byte for byte ---
+
+std::string Written(double value) {
+  char buffer[obs::kJsonDoubleMaxChars];
+  return std::string(buffer, obs::WriteJsonDouble(buffer, value));
+}
+
+// Compares the writer with std::to_chars(general, 17), the reference, on
+// `value`; false (after one failure report) on a mismatch.
+bool MatchesToChars(double value) {
+  char expected[64];
+  char written[obs::kJsonDoubleMaxChars];
+  const std::string_view reference(
+      expected, std::to_chars(expected, expected + sizeof(expected), value,
+                              std::chars_format::general, 17)
+                        .ptr -
+                    expected);
+  const std::string_view ours(written,
+                              obs::WriteJsonDouble(written, value) - written);
+  if (ours == reference) {
+    return true;
+  }
+  ADD_FAILURE() << "wrote " << ours << " for " << reference;
+  return false;
+}
+
+bool MatchesToCharsBothSigns(double value) {
+  return MatchesToChars(value) && MatchesToChars(-value);
+}
+
+TEST(JsonDigitsTest, PowersOfTenAndTheirNeighboursMatchToChars) {
+  for (int exponent = -320; exponent <= 308; ++exponent) {
+    const std::string text = "1e" + std::to_string(exponent);
+    double power = 0.0;
+    std::from_chars(text.data(), text.data() + text.size(), power);
+    double below = power;
+    double above = power;
+    ASSERT_TRUE(MatchesToCharsBothSigns(power)) << text;
+    for (int ulp = 1; ulp <= 3; ++ulp) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, HUGE_VAL);
+      ASSERT_TRUE(MatchesToCharsBothSigns(below)) << text << " - " << ulp;
+      ASSERT_TRUE(MatchesToCharsBothSigns(above)) << text << " + " << ulp;
+    }
+  }
+  EXPECT_EQ(Written(9.9999999999999995e-07), "9.9999999999999995e-07");
+  EXPECT_EQ(Written(1e-6), "9.9999999999999995e-07");
+  EXPECT_EQ(Written(0.1), "0.10000000000000001");
+  EXPECT_EQ(Written(1e16), "10000000000000000");
+}
+
+TEST(JsonDigitsTest, NotationSwitchesAndRangeEdgesMatchToChars) {
+  // %g's switches between fixed and scientific notation (1e-4 and 1e17)
+  // and the edges of the 128-bit range (2^-20 and 1e17), 2000 ulps each
+  // way, and the binade edges in between.
+  for (const double edge : {1e-5, 1e-4, 0x1p-20, 1e16, 1e17, 0x1p52, 0x1p53,
+                            0x1p56}) {
+    double below = edge;
+    double above = edge;
+    for (int ulp = 0; ulp < 2000; ++ulp) {
+      ASSERT_TRUE(MatchesToCharsBothSigns(below)) << edge;
+      ASSERT_TRUE(MatchesToCharsBothSigns(above)) << edge;
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, HUGE_VAL);
+    }
+  }
+  for (int binade = -30; binade < 60; ++binade) {
+    const double power = std::ldexp(1.0, binade);
+    ASSERT_TRUE(MatchesToCharsBothSigns(power));
+    ASSERT_TRUE(MatchesToCharsBothSigns(std::nextafter(power, 0.0)));
+  }
+  EXPECT_EQ(Written(1e-5), "1.0000000000000001e-05");
+  EXPECT_EQ(Written(1e-4), "0.0001");
+  EXPECT_EQ(Written(99999999999999984.0), "99999999999999984");
+  EXPECT_EQ(Written(1e17), "1e+17");
+}
+
+TEST(JsonDigitsTest, RoundHalfEvenTiesMatchToChars) {
+  // An odd 53-bit integer times 2^-s has exactly s fractional binary
+  // digits, so its decimal expansion ends in a 5 at the s-th place: where
+  // that is the 18th significant digit, rounding to 17 is an exact tie.
+  std::mt19937_64 rng(20260419);
+  std::size_t ties = 0;
+  for (int s = 1; s <= 12; ++s) {
+    for (int trial = 0; trial < 20000; ++trial) {
+      const int bits = 40 + static_cast<int>(rng() % 14);  // 40..53 bits
+      const std::uint64_t odd =
+          ((rng() & ((std::uint64_t{1} << (bits - 1)) - 1)) |
+           (std::uint64_t{1} << (bits - 1))) |
+          1;
+      const double value = std::ldexp(static_cast<double>(odd), -s);
+      const std::string integer = std::to_string(odd >> s);
+      if (integer != "0" && integer.size() + static_cast<std::size_t>(s) == 18) {
+        ++ties;
+      }
+      ASSERT_TRUE(MatchesToCharsBothSigns(value)) << odd << " * 2^-" << s;
+    }
+  }
+  EXPECT_GT(ties, 10000u);
+  // Both directions of a tie, in the binade whose ulp is a quarter: the
+  // 17th digit stays even (2) or rounds up to even (8).
+  EXPECT_EQ(Written(1125899906842624.25), "1125899906842624.2");
+  EXPECT_EQ(Written(1125899906842624.75), "1125899906842624.8");
+}
+
+TEST(JsonDigitsTest, SpecialValuesMatchToChars) {
+  const double values[] = {0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::denorm_min() * 3,
+                           std::numeric_limits<double>::min() / 3,
+                           std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::epsilon(),
+                           9007199254740991.0,
+                           9007199254740992.0,
+                           9007199254740994.0,
+                           0.3,
+                           123456.789,
+                           1.0,
+                           42.0};
+  for (const double value : values) {
+    ASSERT_TRUE(MatchesToCharsBothSigns(value)) << value;
+  }
+  EXPECT_EQ(Written(0.0), "0");
+  EXPECT_EQ(Written(-0.0), "-0");
+  EXPECT_EQ(Written(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(Written(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(Written(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(obs::JsonDouble(-3.25), "-3.25");
+  std::string appended = "x";
+  obs::AppendJsonDouble(appended, 0.5);
+  EXPECT_EQ(appended, "x0.5");
+}
+
+TEST(JsonDigitsTest, SeededBitPatternsAndLogUniformValuesMatchToChars) {
+  // Five million finite bit patterns over the whole range, and five
+  // million values of either sign log-uniform over [1e-8, 1e18], most of
+  // them in the 128-bit range, as noisy counts and answers are.
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> log10_of(-8.0, 18.0);
+  for (int i = 0; i < 5000000; ++i) {
+    const double pattern = std::bit_cast<double>(rng());
+    if (std::isfinite(pattern)) {
+      ASSERT_TRUE(MatchesToChars(pattern));
+    }
+    const double magnitude = std::pow(10.0, log10_of(rng));
+    ASSERT_TRUE(MatchesToChars((rng() & 1) != 0 ? magnitude : -magnitude));
   }
 }
 
