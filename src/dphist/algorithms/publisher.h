@@ -8,6 +8,7 @@
 #include "dphist/common/result.h"
 #include "dphist/common/status.h"
 #include "dphist/hist/histogram.h"
+#include "dphist/privacy/budget.h"
 #include "dphist/random/rng.h"
 
 namespace dphist {
@@ -64,7 +65,8 @@ class HistogramPublisher {
   /// The randomized stage: publishes `truth` reusing `prepared`, which must
   /// come from this publisher's (or an identically configured one's)
   /// `Prepare(truth)`. Fails with InvalidArgument for an empty histogram, a
-  /// NaN or infinite count, epsilon <= 0, or a `prepared` object built
+  /// NaN or infinite count, an epsilon that is not finite and > 0, or a
+  /// `prepared` object built
   /// from other counts or other options, and propagates internal errors.
   virtual Result<Histogram> PublishPrepared(const Histogram& truth,
                                             const PreparedTruth* prepared,
@@ -73,7 +75,7 @@ class HistogramPublisher {
 
   /// Publishes a noisy histogram: `Prepare(histogram)`, then
   /// `PublishPrepared` over its result. Fails as those two do; an epsilon
-  /// <= 0 fails before `Prepare` does any work.
+  /// that is not finite and > 0 fails before `Prepare` does any work.
   Result<Histogram> Publish(const Histogram& histogram, double epsilon,
                             Rng& rng) const {
     DPHIST_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
@@ -83,10 +85,12 @@ class HistogramPublisher {
   }
 
  protected:
-  /// Shared argument validation for implementations: the budget.
+  /// Shared argument validation for implementations: the budget, which
+  /// must be one the accountant could charge (finite and > 0). An infinite
+  /// epsilon would scale every noise draw to zero and release the truth.
   static Status ValidateEpsilon(double epsilon) {
-    if (!(epsilon > 0.0)) {
-      return Status::InvalidArgument("Publish: epsilon must be > 0");
+    if (!BudgetAccountant::ChargeableEpsilon(epsilon)) {
+      return Status::InvalidArgument("Publish: epsilon must be finite and > 0");
     }
     return Status::Ok();
   }

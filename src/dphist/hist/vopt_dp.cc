@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <limits>
 
 #include "dphist/common/env.h"
@@ -20,13 +21,12 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 // the tail balanced.
 constexpr std::size_t kRowMinChunk = 32;
 
-// Monotone-path tuning (DESIGN §7): candidates are scanned in blocks of
-// kBoundBlock, and a squared-cost block that survives both its O(1) block
-// bound and the kernel's scan is rescanned as kSubBlock-candidate
-// sub-blocks, each checked against its own O(1) bound first. Both sizes
-// were chosen by measurement.
+// Monotone-path block size (DESIGN §7): candidates are walked in blocks of
+// kBoundBlock, each dismissed by one O(1) bound where it can be. Chosen by
+// measurement; the squared path's candidate masks hold one bit per
+// candidate of a block.
 constexpr std::size_t kBoundBlock = 64;
-constexpr std::size_t kSubBlock = 8;
+static_assert(kBoundBlock <= 64, "one candidate mask bit per candidate");
 
 // Below this candidate count kAuto stays naive: the monotone path's
 // per-row suffix minima and per-cell upper-bound seeding only pay for
@@ -65,17 +65,39 @@ struct SquaredBoundTables {
   const double* csum;     // prefix sums gathered at candidate positions
   const double* csq;      // prefix sums of squares, same gather
   const double* rrev;     // rrev[m - d] = inflated 1/(d * grid_step)
+  // rrev dealt into kBoundBlock lanes, end_rr[(x % kBoundBlock) *
+  // rr_stride + x / kBoundBlock] = rrev[x], so the reciprocals at one
+  // cell's block ends, kBoundBlock apart in rrev, are contiguous here.
+  const double* end_rr;
+  std::size_t rr_stride;
   const double* suffmin;  // suffix minima of the previous row
-  // Minima of the previous row over kBoundBlock / kSubBlock candidate
-  // blocks anchored at k-1: block_min[q] covers [k-1 + q*kBoundBlock, ...).
+  // Per kBoundBlock block of the row, anchored at k-1 (block q covers
+  // [k-1 + q*kBoundBlock, ...)): the previous row's minimum over the
+  // block, and csum/csq at the block's last candidate when it is full.
   const double* block_min;
-  const double* sub_min;
+  const double* end_sum;
+  const double* end_sq;
   const std::int32_t* prev_par;  // argmins of the previous row
   double slack;                  // vopt_kernel::SquaredCostSlack
+  std::size_t grid;
   std::size_t m;
 };
 
+// prev[j] + CostBetween(j, i) for a cell the squared kernels cover, from
+// the gathered prefix tables: SquaredCostOf's operands and operations, so
+// the same bits without the out-of-line call.
+inline double SquaredCandidate(const SquaredBoundTables& t, const double* prev,
+                               double si, double qi, std::size_t j,
+                               std::size_t i) {
+  const double length = static_cast<double>((i - j) * t.grid);
+  const double sum = si - t.csum[j];
+  const double sum_sq = qi - t.csq[j];
+  const double sse = sum_sq - sum * sum / length;
+  return prev[j] + (sse > 0.0 ? sse : 0.0);
+}
+
 // Fills cells [begin, end) of row k with certified-lower-bound pruning.
+// `bounds` receives one cell's block bounds (m / kBoundBlock + 1 slots).
 //
 // Tie-breaking contract: the only values ever written are exact
 // candidates prev[j] + CostBetween(j, i), evaluated in ascending j with
@@ -88,9 +110,10 @@ struct SquaredBoundTables {
 void MonotoneSquaredCells(const IntervalCostTable& costs,
                           const SquaredBoundTables& t, const double* prev,
                           double* curr, std::int32_t* par, std::size_t k,
-                          std::size_t begin, std::size_t end,
+                          std::size_t begin, std::size_t end, double* bounds,
                           std::uint64_t* lookups, std::uint64_t* scans) {
   const std::size_t base = k - 1;
+  double lb[kBoundBlock];
   for (std::size_t i = begin; i < end; ++i) {
     const double si = t.csum[i];
     const double qi = t.csq[i];
@@ -104,66 +127,66 @@ void MonotoneSquaredCells(const IntervalCostTable& costs,
     // ascending order would let an equal-valued smaller j be skipped —
     // breaking the leftmost tie-break that makes the table bit-identical
     // to naive.
-    double ub = prev[i - 1] + costs.CostBetween(i - 1, i);
+    double ub = SquaredCandidate(t, prev, si, qi, i - 1, i);
     ++*lookups;
     const std::int32_t seed = t.prev_par[i];
     if (seed >= static_cast<std::int32_t>(base) &&
         static_cast<std::size_t>(seed) + 2 <= i) {
-      const auto j = static_cast<std::size_t>(seed);
-      const double candidate = prev[j] + costs.CostBetween(j, i);
+      const double candidate = SquaredCandidate(
+          t, prev, si, qi, static_cast<std::size_t>(seed), i);
       ++*lookups;
       ub = candidate < ub ? candidate : ub;
     }
+    // Every block bound of the cell in one pass: the full blocks from the
+    // row's end tables, and a partial last block from its last candidate,
+    // i-1.
+    const std::size_t full = (i - base) / kBoundBlock;
+    const std::size_t blocks = (i - base + kBoundBlock - 1) / kBoundBlock;
+    if (full > 0) {
+      const std::size_t x = t.m - i + base + kBoundBlock - 1;  // rrev index
+      vopt_kernel::SquaredBlockBounds(
+          t.block_min, t.end_sum, t.end_sq,
+          t.end_rr + (x % kBoundBlock) * t.rr_stride + x / kBoundBlock, si,
+          qi, t.slack, full, bounds);
+    }
+    if (blocks > full) {
+      vopt_kernel::SquaredBlockBounds(t.block_min + full, t.csum + (i - 1),
+                                      t.csq + (i - 1), rr + (i - 1), si, qi,
+                                      t.slack, 1, bounds + full);
+    }
     double best = kInfinity;
     std::int32_t bj = -1;
-    for (std::size_t b0 = base; b0 < i; b0 += kBoundBlock) {
+    for (std::size_t q = 0; q < blocks; ++q) {
+      const std::size_t b0 = base + q * kBoundBlock;
       // Every remaining candidate satisfies cand >= prev[j] >=
       // suffmin[b0]; once that floor clears both thresholds, no later
       // block can improve the cell.
       if (t.suffmin[b0] > ub || t.suffmin[b0] >= best) {
         break;
       }
-      const std::size_t e = std::min(i, b0 + kBoundBlock);
-      const double block_lb = vopt_kernel::SquaredBlockLowerBound(
-          t.block_min[(b0 - base) / kBoundBlock], t.csum, t.csq, rr, si, qi,
-          e - 1, t.slack);
-      if (block_lb > ub || block_lb >= best) {
+      if (bounds[q] > ub || bounds[q] >= best) {
         continue;  // dismissed without reading the block's candidates
       }
+      const std::size_t e = std::min(i, b0 + kBoundBlock);
       *scans += e - b0;
-      const double bmin = vopt_kernel::SquaredLowerBoundBlockMin(
-          prev, t.csum, t.csq, rr, si, qi, b0, e);
-      if (bmin > ub || bmin >= best) {
-        continue;  // no candidate in this block can improve the cell
-      }
-      for (std::size_t s0 = b0; s0 < e; s0 += kSubBlock) {
-        const std::size_t s1 = std::min(e, s0 + kSubBlock);
-        const double sub_lb = vopt_kernel::SquaredBlockLowerBound(
-            t.sub_min[(s0 - base) / kSubBlock], t.csum, t.csq, rr, si, qi,
-            s1 - 1, t.slack);
-        if (sub_lb > ub || sub_lb >= best) {
+      // The mask leaves out only candidates whose bound is above ub, which
+      // never rises. The rest are checked against the current ub and best
+      // and evaluated exactly, in ascending j.
+      for (std::uint64_t mask = vopt_kernel::SquaredCandidateMask(
+               prev, t.csum, t.csq, rr, si, qi, ub, b0, e, lb);
+           mask != 0; mask &= mask - 1) {
+        const auto o = static_cast<std::size_t>(std::countr_zero(mask));
+        if (lb[o] > ub || lb[o] >= best) {
           continue;
         }
-        // The sub-block may hold an improvement: re-derive the
-        // per-candidate bound scalar-side (every FP-contraction variant of
-        // the expression is equally certified) and evaluate the survivors
-        // exactly, in ascending j.
-        for (std::size_t j = s0; j < s1; ++j) {
-          const double sum = si - t.csum[j];
-          double lb = prev[j] + ((qi - t.csq[j]) - (sum * sum) * rr[j]);
-          lb = lb > prev[j] ? lb : prev[j];
-          if (lb > ub || lb >= best) {
-            continue;
-          }
-          const double candidate = prev[j] + costs.CostBetween(j, i);
-          ++*lookups;
-          if (candidate < ub) {
-            ub = candidate;
-          }
-          if (candidate < best) {
-            best = candidate;
-            bj = static_cast<std::int32_t>(j);
-          }
+        const double candidate = SquaredCandidate(t, prev, si, qi, b0 + o, i);
+        ++*lookups;
+        if (candidate < ub) {
+          ub = candidate;
+        }
+        if (candidate < best) {
+          best = candidate;
+          bj = static_cast<std::int32_t>(b0 + o);
         }
       }
     }
@@ -399,12 +422,15 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
       pool.thread_count() > 1 && m >= options.min_parallel_candidates;
 
   // Per-solve tables for the monotone path. csum/csq gather the unit-bin
-  // prefix tables at the candidate positions so the kernel streams them
+  // prefix tables at the candidate positions so the kernels stream them
   // contiguously; rrev holds inflated reciprocals addressed by
-  // rr = rrev + (m - i), making rr[j] the reciprocal of length (i - j).
+  // rr = rrev + (m - i), making rr[j] the reciprocal of length (i - j), and
+  // end_rr deals them into kBoundBlock lanes for the block bounds.
   // col_min holds the absolute path's exact column minima over aligned
   // blocks (one O(m^2) read of the triangle).
-  std::vector<double> csum, csq, rrev, suffmin, block_min, sub_min, col_min;
+  std::vector<double> csum, csq, rrev, end_rr, suffmin, block_min, end_sum,
+      end_sq, col_min;
+  const std::size_t blocks_per_row = m / kBoundBlock + 1;
   double slack = 0.0;
   if (monotone_squared) {
     const std::vector<double>& sums = costs.prefix_sums();
@@ -421,14 +447,19 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
           (1.0 / (static_cast<double>(d) * static_cast<double>(grid))) *
           vopt_kernel::kReciprocalInflate;
     }
+    end_rr.assign(kBoundBlock * blocks_per_row, 0.0);
+    for (std::size_t x = 0; x <= m; ++x) {
+      end_rr[(x % kBoundBlock) * blocks_per_row + x / kBoundBlock] = rrev[x];
+    }
     slack = vopt_kernel::SquaredCostSlack(csq[m], costs.domain_size());
-    sub_min.resize(m / kSubBlock + 1);
+    end_sum.resize(blocks_per_row);
+    end_sq.resize(blocks_per_row);
   } else if (monotone) {
     col_min = vopt_kernel::AbsoluteColumnBlockMinima(costs, kBoundBlock);
   }
   if (monotone) {
     suffmin.resize(m + 1);
-    block_min.resize(m / kBoundBlock + 1);
+    block_min.resize(blocks_per_row);
   }
 
   obs::ScopedTimer rows_timer("dp_rows");  // -> vopt/solve/dp_rows
@@ -446,19 +477,18 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
       }
     }
     if (monotone_squared) {
-      // Block and sub-block minima of the previous row over the candidate
-      // range [k-1, m), anchored at k-1 like every cell's block walk: the
-      // prev floor of each O(1) block bound. Built alongside suffmin.
-      std::size_t subs = 0;
-      for (std::size_t s0 = k - 1; s0 < m; s0 += kSubBlock, ++subs) {
-        sub_min[subs] =
-            *std::min_element(prev + s0, prev + std::min(m, s0 + kSubBlock));
-      }
-      constexpr std::size_t kSubsPerBlock = kBoundBlock / kSubBlock;
-      for (std::size_t q = 0; q * kSubsPerBlock < subs; ++q) {
-        block_min[q] = *std::min_element(
-            sub_min.data() + q * kSubsPerBlock,
-            sub_min.data() + std::min(subs, (q + 1) * kSubsPerBlock));
+      // The row's block-end tables over the candidate range [k-1, m), in
+      // blocks anchored at k-1 like every cell's walk: the prev floor of
+      // each block bound, and csum/csq at each full block's last
+      // candidate. Built alongside suffmin.
+      std::size_t q = 0;
+      for (std::size_t b0 = k - 1; b0 < m; b0 += kBoundBlock, ++q) {
+        block_min[q] =
+            *std::min_element(prev + b0, prev + std::min(m, b0 + kBoundBlock));
+        if (b0 + kBoundBlock <= m) {
+          end_sum[q] = csum[b0 + kBoundBlock - 1];
+          end_sq[q] = csq[b0 + kBoundBlock - 1];
+        }
       }
     } else if (monotone) {
       // The absolute path's blocks are aligned to multiples of kBoundBlock
@@ -482,17 +512,25 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
       std::uint64_t lookups = 0;
       std::uint64_t scans = 0;
       if (monotone_squared) {
-        const SquaredBoundTables tables{
-            csum.data(),      csq.data(),
-            rrev.data(),      suffmin.data(),
-            block_min.data(), sub_min.data(),
-            &solver.parent_[(k - 1) * width], slack,
-            m};
+        const SquaredBoundTables tables{csum.data(),
+                                        csq.data(),
+                                        rrev.data(),
+                                        end_rr.data(),
+                                        blocks_per_row,
+                                        suffmin.data(),
+                                        block_min.data(),
+                                        end_sum.data(),
+                                        end_sq.data(),
+                                        &solver.parent_[(k - 1) * width],
+                                        slack,
+                                        grid,
+                                        m};
+        std::vector<double> bounds(blocks_per_row);
         MonotoneSquaredCells(costs, tables, prev, curr, par, k, begin, end,
-                             &lookups, &scans);
+                             bounds.data(), &lookups, &scans);
       } else if (monotone) {
         const AbsoluteBoundTables tables{suffmin.data(), block_min.data(),
-                                         col_min.data(), m / kBoundBlock + 1,
+                                         col_min.data(), blocks_per_row,
                                          &solver.parent_[(k - 1) * width]};
         MonotoneAbsoluteCells(costs, tables, prev, curr, par, k, begin, end,
                               &lookups, &scans);

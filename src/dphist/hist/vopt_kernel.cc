@@ -24,20 +24,38 @@ namespace vopt_kernel {
 // treats the std::min call as a memory clobber and gives up.
 
 DPHIST_VOPT_KERNEL_CLONES
-double SquaredLowerBoundBlockMin(const double* __restrict prev,
-                                 const double* __restrict csum,
-                                 const double* __restrict csq,
-                                 const double* __restrict rr, double si,
-                                 double qi, std::size_t b0, std::size_t e) {
-  double mn = std::numeric_limits<double>::max();
+void SquaredBlockBounds(const double* __restrict pmin,
+                        const double* __restrict end_sum,
+                        const double* __restrict end_sq,
+                        const double* __restrict end_rr, double si, double qi,
+                        double slack, std::size_t blocks,
+                        double* __restrict out) {
+  for (std::size_t q = 0; q < blocks; ++q) {
+    const double sum = si - end_sum[q];
+    const double cost = (qi - end_sq[q]) - (sum * sum) * end_rr[q];
+    out[q] = (pmin[q] + (cost > 0.0 ? cost : 0.0)) - slack;
+  }
+}
+
+// The mask is an OR reduction of per-lane bits, which GCC vectorizes with
+// a variable shift by the lane index.
+DPHIST_VOPT_KERNEL_CLONES
+std::uint64_t SquaredCandidateMask(const double* __restrict prev,
+                                   const double* __restrict csum,
+                                   const double* __restrict csq,
+                                   const double* __restrict rr, double si,
+                                   double qi, double ub, std::size_t b0,
+                                   std::size_t e, double* __restrict lb) {
+  std::uint64_t mask = 0;
   for (std::size_t j = b0; j < e; ++j) {
     const double sum = si - csum[j];
-    double lb = prev[j] + ((qi - csq[j]) - (sum * sum) * rr[j]);
+    double bound = prev[j] + ((qi - csq[j]) - (sum * sum) * rr[j]);
     const double p = prev[j];
-    lb = lb > p ? lb : p;
-    mn = lb < mn ? lb : mn;
+    bound = bound > p ? bound : p;
+    lb[j - b0] = bound;
+    mask |= static_cast<std::uint64_t>(bound <= ub) << (j - b0);
   }
-  return mn;
+  return mask;
 }
 
 DPHIST_VOPT_KERNEL_CLONES

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -16,14 +17,15 @@ namespace vopt_kernel {
 // The out-of-line kernels live in vopt_kernel.cc. That translation unit
 // is compiled with -ffinite-math-only -fno-signed-zeros (see
 // src/CMakeLists.txt) so the compiler vectorizes the floating-point min
-// reductions and the first-match select, with target_clones dispatching
-// to AVX2/AVX-512 at runtime where available. The relaxed FP semantics
-// are safe there because no kernel computes a DP value: the squared
-// kernel produces pruning thresholds only, the absolute block minimum
-// selects one of its exact sums, and the solver re-evaluates the sum at
-// the first-match index with strict scalar arithmetic. Neither flag
-// changes an IEEE add or an equality compare of finite operands, so the
-// exact-tie-breaking contract of the solver cannot be perturbed.
+// reductions, the bound passes and the first-match select, with
+// target_clones dispatching to AVX2/AVX-512 at runtime where available.
+// The relaxed FP semantics are safe there because no kernel computes a DP
+// value: the squared kernels produce pruning thresholds and masks only,
+// the absolute block minimum selects one of its exact sums, and the
+// solver re-evaluates every candidate it keeps with strict scalar
+// arithmetic. Neither flag changes an IEEE add or an equality compare of
+// finite operands, so the exact-tie-breaking contract of the solver
+// cannot be perturbed.
 //
 // Kernel preconditions: b0 < e, and every input in [b0, e) is finite (the
 // solver only scans candidates whose previous-row cost is finite, and the
@@ -39,21 +41,8 @@ namespace vopt_kernel {
 /// gives the full argument).
 constexpr double kReciprocalInflate = 1.0 + 0x1p-40;
 
-/// min over j in [b0, e) of
-///   max(prev[j], prev[j] + ((qi - csq[j]) - (si - csum[j])^2 * rr[j]))
-/// — the certified lower bound on the squared-cost DP candidate
-/// prev[j] + CostBetween(j, i), where si/qi are the prefix sum/sum of
-/// squares at candidate i and rr[j] is the *inflated* reciprocal of the
-/// interval length (kReciprocalInflate). The bound never exceeds the exact
-/// candidate, for any rounding or FMA contraction of this expression
-/// (DESIGN §7 gives the argument).
-double SquaredLowerBoundBlockMin(const double* prev, const double* csum,
-                                 const double* csq, const double* rr,
-                                 double si, double qi, std::size_t b0,
-                                 std::size_t e);
-
-/// Slack that certifies SquaredBlockLowerBound: an upper bound on how far
-/// a computed CostBetween(j, i) can fall below a computed CostBetween(j', i)
+/// Slack that certifies SquaredBlockBounds: an upper bound on how far a
+/// computed CostBetween(j, i) can fall below a computed CostBetween(j', i)
 /// for j <= j', plus the rounding of the block bound's own sum. DESIGN §7
 /// derives 32 * (sqrt(n) + 2) * 2^-53 * total_squares from the Kahan error
 /// of the prefix tables and the rounding of the cost formula, where
@@ -69,23 +58,37 @@ inline double SquaredCostSlack(double total_squares, std::size_t n) {
          total_squares;
 }
 
-/// Certified lower bound on prev[j] + CostBetween(j, i) for every j of a
-/// block of candidates ending at `last` (DESIGN §7). `prev_min` must not
-/// exceed prev[j] anywhere in the block. An interval's SSE only grows as
-/// its start moves left, so every candidate's cost is at least the
-/// block's shortest interval cost (last, i) — bounded from below with the
-/// kernel's inflated reciprocal rr — less `slack` =
-/// SquaredCostSlack(csq[m], n) for floating-point rounding. One O(1)
-/// check stands in for the whole block. Inline, so it compiles with the
-/// caller's strict FP flags rather than this kernel TU's.
-inline double SquaredBlockLowerBound(double prev_min, const double* csum,
-                                     const double* csq, const double* rr,
-                                     double si, double qi, std::size_t last,
-                                     double slack) {
-  const double sum = si - csum[last];
-  const double cost = (qi - csq[last]) - (sum * sum) * rr[last];
-  return (prev_min + (cost > 0.0 ? cost : 0.0)) - slack;
-}
+/// Certified lower bounds for `blocks` blocks of squared-cost candidates
+/// of one cell i (DESIGN §7). For each block q, end_sum[q] and end_sq[q]
+/// are the prefix sum and sum of squares at the block's last candidate,
+/// end_rr[q] the inflated reciprocal of that candidate's interval length
+/// to i, and pmin[q] must not exceed prev[j] anywhere in the block. Writes
+///   out[q] = (pmin[q] + max(0, (qi - end_sq[q])
+///                              - (si - end_sum[q])^2 * end_rr[q])) - slack,
+/// with slack = SquaredCostSlack(csq[m], n). An interval's SSE only grows
+/// as its start moves left, so every candidate of the block costs at least
+/// its last candidate's interval; `out[q]` never exceeds any
+/// prev[j] + CostBetween(j, i) of block q.
+void SquaredBlockBounds(const double* pmin, const double* end_sum,
+                        const double* end_sq, const double* end_rr, double si,
+                        double qi, double slack, std::size_t blocks,
+                        double* out);
+
+/// For every j in [b0, e), with e - b0 <= 64, writes the certified
+/// lower bound
+///   lb[j - b0] = max(prev[j], prev[j] + ((qi - csq[j]) - (si - csum[j])^2
+///                                        * rr[j]))
+/// on the squared-cost candidate prev[j] + CostBetween(j, i), where si/qi
+/// are the prefix sum/sum of squares at i and rr[j] is the *inflated*
+/// reciprocal of the interval length (kReciprocalInflate). Returns the
+/// mask whose bit j - b0 is set iff lb[j - b0] <= ub: every candidate
+/// whose exact value is at most ub has its bit set. The bound never
+/// exceeds the exact candidate, for any rounding or FMA contraction of
+/// this expression (DESIGN §7 gives the argument).
+std::uint64_t SquaredCandidateMask(const double* prev, const double* csum,
+                                   const double* csq, const double* rr,
+                                   double si, double qi, double ub,
+                                   std::size_t b0, std::size_t e, double* lb);
 
 /// min over j in [b0, e) of prev[j] + col[j] — the *exact* candidate block
 /// minimum for the absolute cost, where col is the packed triangular

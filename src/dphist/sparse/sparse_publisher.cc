@@ -1,5 +1,7 @@
 #include "dphist/sparse/sparse_publisher.h"
 
+#include "dphist/privacy/budget.h"
+
 namespace dphist {
 namespace sparse {
 
@@ -9,8 +11,9 @@ Status SparseHistogramPublisher::ValidatePublishArgs(
     return Status::InvalidArgument(
         "sparse publish: histogram has an empty domain");
   }
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("sparse publish: epsilon must be > 0");
+  if (!BudgetAccountant::ChargeableEpsilon(epsilon)) {
+    return Status::InvalidArgument(
+        "sparse publish: epsilon must be finite and > 0");
   }
   return CheckFiniteCounts(truth);
 }

@@ -61,8 +61,8 @@ class SparseHistogramPublisher {
   }
 
  protected:
-  /// Shared argument validation: rejects a zero-sized domain, a
-  /// non-positive epsilon and a NaN or infinite count with a typed
+  /// Shared argument validation: rejects a zero-sized domain, an epsilon
+  /// that is not finite and > 0, and a NaN or infinite count with a typed
   /// `kInvalidArgument`.
   static Status ValidatePublishArgs(const SparseHistogram& truth,
                                     double epsilon);

@@ -107,6 +107,13 @@ TEST_P(PublisherContract, RejectsInvalidArguments) {
   EXPECT_FALSE(publisher->Publish(Histogram(), 1.0, rng).ok());
   EXPECT_FALSE(publisher->Publish(Truth(), 0.0, rng).ok());
   EXPECT_FALSE(publisher->Publish(Truth(), -1.0, rng).ok());
+  // An infinite epsilon scales the noise to zero and would release the
+  // exact counts; a NaN one is no budget at all.
+  for (const double bad : {HUGE_VAL, -HUGE_VAL, std::nan("")}) {
+    auto out = publisher->Publish(Truth(), bad, rng);
+    ASSERT_FALSE(out.ok()) << bad;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 // A NaN or infinite count used to publish an all-NaN release with OK;

@@ -311,6 +311,13 @@ TEST(SparsePublisherValidationTest, RejectsInvalidArguments) {
     auto negative_eps = publisher->Publish(valid, -1.0, rng);
     ASSERT_FALSE(negative_eps.ok()) << publisher->name();
     EXPECT_EQ(negative_eps.status().code(), StatusCode::kInvalidArgument);
+    // An infinite epsilon would release every key's exact count.
+    for (const double bad : {HUGE_VAL, -HUGE_VAL, std::nan("")}) {
+      auto out = publisher->Publish(valid, bad, rng);
+      ASSERT_FALSE(out.ok()) << publisher->name() << " " << bad;
+      EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+          << publisher->name() << " " << bad;
+    }
   }
 }
 

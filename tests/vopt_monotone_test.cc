@@ -8,11 +8,13 @@
 // move a published cut. The capped squared-cost inputs add the exact
 // cold-publish solve shape and the inputs that stress the O(1) block bound
 // (cancellation, sign-alternating magnitudes, isolated spikes, an
-// off-grid endpoint), and a direct property test certifies the block
-// bound itself on every row, cell and block of those solves. The capped
-// absolute-cost inputs do the same for StructureFirst's solve: the exact
-// herd solve shape, the column block minima against brute force, and the
-// aligned block bound replayed over finished naive tables.
+// off-grid endpoint), direct property tests certify the block bounds and
+// the candidate masks on every row, cell and block of those solves, and a
+// battery covers the cold solve across epsilons, seeds, grid steps and a
+// larger domain. The capped absolute-cost inputs do the same for
+// StructureFirst's solve: the exact herd solve shape, the column block
+// minima against brute force, and the aligned block bound replayed over
+// finished naive tables.
 
 #include "dphist/hist/vopt_dp.h"
 
@@ -77,13 +79,16 @@ std::vector<double> PiecewiseConstantCounts(std::size_t n,
   return counts;
 }
 
-std::vector<double> ColdShapeCounts() {
-  // The cold_publish solve: the network-trace histogram at n = 1024 plus
-  // the Laplace noise NoiseFirst adds at epsilon = 0.1 (scale 10).
-  std::vector<double> counts = MakeNetTrace(1024, 42).histogram.counts();
-  Rng rng(5);
+std::vector<double> ColdShapeCounts(std::size_t n = 1024,
+                                    double epsilon = 0.1,
+                                    std::uint64_t seed = 5) {
+  // The cold_publish solve: the network-trace histogram (n = 1024 there)
+  // plus the Laplace noise NoiseFirst adds (scale 1/epsilon, epsilon = 0.1
+  // there).
+  std::vector<double> counts = MakeNetTrace(n, 42).histogram.counts();
+  Rng rng(seed);
   for (double& c : counts) {
-    c += SampleLaplace(rng, 10.0);
+    c += SampleLaplace(rng, 1.0 / epsilon);
   }
   return counts;
 }
@@ -187,13 +192,17 @@ void ExpectBitIdentical(const VOptSolver& naive, const VOptSolver& monotone,
   }
 }
 
-// Naive (sequential) vs monotone at pool widths 1 and 4, bitwise.
+// Naive vs monotone at pool widths 1 and 4, bitwise. The naive reference
+// runs sequentially unless `parallel_naive` asks for the 4-wide pool (its
+// table is bit-identical at any width, vopt_dp_test), which the largest
+// solves use to save time.
 void CheckEquivalent(const IntervalCostTable& costs, std::size_t max_buckets,
-                     const std::string& label) {
+                     const std::string& label, bool parallel_naive = false) {
   ThreadPool sequential(1);
   ThreadPool parallel(4);
   const VOptSolver naive =
-      SolveWith(costs, VOptStrategy::kNaive, &sequential, max_buckets);
+      SolveWith(costs, VOptStrategy::kNaive,
+                parallel_naive ? &parallel : &sequential, max_buckets);
   EXPECT_EQ(naive.stats().strategy, VOptStrategy::kNaive);
   EXPECT_EQ(naive.stats().bound_scans, 0u);
   const VOptSolver mono_seq =
@@ -283,82 +292,114 @@ std::vector<CappedInput> CappedAbsoluteInputs() {
   };
 }
 
-// Replays the solver's block walk over a finished naive table and checks
-// vopt_kernel::SquaredBlockLowerBound directly: for every row k, cell i,
-// 64-candidate block and 8-candidate sub-block (anchored at k-1, as the
-// solver walks them), the bound must not exceed the block's minimum of
-// prev[j] + CostBetween(j, i). The prev floor passed in is the exact
-// minimum over the candidates the block covers — the largest floor the
-// solver can ever pass (it may use a minimum over a superset), so this
-// is the strictest form of the check. The bitwise battery only notices a
-// too-small slack when a skipped block held the argmin; this catches any
-// violation.
+// The squared path's per-solve tables, rebuilt as the solver builds them:
+// the prefix tables gathered at the candidates, the inflated reciprocals
+// rrev[m - d] of each length d, dealt into 64 lanes so one cell's block
+// ends are contiguous, and the slack.
+struct SquaredReplay {
+  explicit SquaredReplay(const IntervalCostTable& costs)
+      : m(costs.num_candidates()),
+        stride(m / 64 + 1),
+        csum(m + 1),
+        csq(m + 1),
+        rrev(m + 1, 0.0),
+        end_rr(64 * stride, 0.0) {
+    const std::size_t grid = costs.grid_step();
+    const std::vector<std::size_t>& positions = costs.positions();
+    for (std::size_t j = 0; j <= m; ++j) {
+      csum[j] = costs.prefix_sums()[positions[j]];
+      csq[j] = costs.prefix_squares()[positions[j]];
+    }
+    for (std::size_t d = 1; d <= m; ++d) {
+      rrev[m - d] =
+          (1.0 / (static_cast<double>(d) * static_cast<double>(grid))) *
+          vopt_kernel::kReciprocalInflate;
+    }
+    for (std::size_t x = 0; x <= m; ++x) {
+      end_rr[(x % 64) * stride + x / 64] = rrev[x];
+    }
+    slack = vopt_kernel::SquaredCostSlack(csq[m], costs.domain_size());
+    // The off-grid final cell is solved naively, never with the kernels.
+    bound_end = positions[m] == m * grid ? m + 1 : m;
+  }
+
+  std::size_t m;
+  std::size_t stride;
+  std::vector<double> csum, csq, rrev, end_rr;
+  double slack = 0.0;
+  std::size_t bound_end = 0;
+};
+
+// Replays the solver's block bounds over a finished naive table and checks
+// vopt_kernel::SquaredBlockBounds directly: for every row k and cell i it
+// computes the cell's bounds in one pass over the full 64-candidate blocks
+// (anchored at k-1, with the block-end prefix tables and the dealt
+// reciprocals the solver uses) and one call for a partial last block, and
+// no bound may exceed its block's minimum of prev[j] + CostBetween(j, i).
+// The prev floor passed in is the exact minimum over the candidates the
+// block covers — the largest floor the solver can ever pass (it may use a
+// minimum over a superset), so this is the strictest form of the check.
+// The bitwise battery only notices a too-small slack when a skipped block
+// held the argmin; this catches any violation.
 void CheckBlockBoundCertified(const CappedInput& input) {
   ThreadPool sequential(1);
   const IntervalCostTable costs = SquaredCosts(input.counts, input.grid_step);
   const VOptSolver naive = SolveWith(costs, VOptStrategy::kNaive, &sequential,
                                      input.max_buckets);
-  const std::size_t m = costs.num_candidates();
-  const std::size_t grid = costs.grid_step();
-  const std::vector<std::size_t>& positions = costs.positions();
-  std::vector<double> csum(m + 1), csq(m + 1), rrev(m + 1, 0.0);
-  for (std::size_t j = 0; j <= m; ++j) {
-    csum[j] = costs.prefix_sums()[positions[j]];
-    csq[j] = costs.prefix_squares()[positions[j]];
-  }
-  for (std::size_t d = 1; d <= m; ++d) {
-    rrev[m - d] =
-        (1.0 / (static_cast<double>(d) * static_cast<double>(grid))) *
-        vopt_kernel::kReciprocalInflate;
-  }
-  const double slack =
-      vopt_kernel::SquaredCostSlack(csq[m], costs.domain_size());
-  // The off-grid final cell is solved naively, never with a block bound.
-  const std::size_t bound_end = positions[m] == m * grid ? m + 1 : m;
+  const SquaredReplay r(costs);
+  const std::size_t m = r.m;
 
   std::uint64_t checks = 0;
   std::uint64_t violations = 0;
   std::string first_violation;
-  auto check = [&](double prev_min, double cand_min, const double* rr,
-                   std::size_t i, std::size_t first, std::size_t last,
-                   std::size_t k) {
-    const double bound = vopt_kernel::SquaredBlockLowerBound(
-        prev_min, csum.data(), csq.data(), rr, csum[i], csq[i], last, slack);
-    ++checks;
-    if (bound > cand_min) {
-      if (violations++ == 0) {
-        first_violation = "k=" + std::to_string(k) + " i=" +
-                          std::to_string(i) + " block [" +
-                          std::to_string(first) + ", " + std::to_string(last) +
-                          "]: bound " + std::to_string(bound) + " > " +
-                          std::to_string(cand_min);
-      }
-    }
-  };
   std::vector<double> prev(m + 1);
+  std::vector<double> pmin(r.stride), end_sum(r.stride), end_sq(r.stride);
+  std::vector<double> cand_min(r.stride), bounds(r.stride);
   for (std::size_t k = 2; k <= naive.max_buckets(); ++k) {
+    const std::size_t base = k - 1;
     for (std::size_t j = 0; j <= m; ++j) {
       prev[j] = naive.PrefixCost(k - 1, j);
     }
-    for (std::size_t i = k; i < bound_end; ++i) {
-      const double* rr = rrev.data() + (m - i);
-      for (std::size_t b0 = k - 1; b0 < i; b0 += 64) {
+    for (std::size_t i = k; i < r.bound_end; ++i) {
+      const double* rr = r.rrev.data() + (m - i);
+      const std::size_t full = (i - base) / 64;
+      const std::size_t blocks = (i - base + 63) / 64;
+      for (std::size_t q = 0; q < blocks; ++q) {
+        const std::size_t b0 = base + 64 * q;
         const std::size_t e = std::min(i, b0 + 64);
-        double block_prev = kInf;
-        double block_cand = kInf;
-        for (std::size_t s0 = b0; s0 < e; s0 += 8) {
-          const std::size_t s1 = std::min(e, s0 + 8);
-          double sub_prev = kInf;
-          double sub_cand = kInf;
-          for (std::size_t j = s0; j < s1; ++j) {
-            sub_prev = std::min(sub_prev, prev[j]);
-            sub_cand = std::min(sub_cand, prev[j] + costs.CostBetween(j, i));
-          }
-          check(sub_prev, sub_cand, rr, i, s0, s1 - 1, k);
-          block_prev = std::min(block_prev, sub_prev);
-          block_cand = std::min(block_cand, sub_cand);
+        pmin[q] = kInf;
+        cand_min[q] = kInf;
+        for (std::size_t j = b0; j < e; ++j) {
+          pmin[q] = std::min(pmin[q], prev[j]);
+          cand_min[q] =
+              std::min(cand_min[q], prev[j] + costs.CostBetween(j, i));
         }
-        check(block_prev, block_cand, rr, i, b0, e - 1, k);
+        if (q < full) {
+          end_sum[q] = r.csum[e - 1];
+          end_sq[q] = r.csq[e - 1];
+        }
+      }
+      if (full > 0) {
+        const std::size_t x = m - i + base + 63;
+        vopt_kernel::SquaredBlockBounds(
+            pmin.data(), end_sum.data(), end_sq.data(),
+            r.end_rr.data() + (x % 64) * r.stride + x / 64, r.csum[i],
+            r.csq[i], r.slack, full, bounds.data());
+      }
+      if (blocks > full) {
+        vopt_kernel::SquaredBlockBounds(
+            pmin.data() + full, r.csum.data() + (i - 1),
+            r.csq.data() + (i - 1), rr + (i - 1), r.csum[i], r.csq[i],
+            r.slack, 1, bounds.data() + full);
+      }
+      for (std::size_t q = 0; q < blocks; ++q) {
+        ++checks;
+        if (bounds[q] > cand_min[q] && violations++ == 0) {
+          first_violation = "k=" + std::to_string(k) + " i=" +
+                            std::to_string(i) + " block " + std::to_string(q) +
+                            ": bound " + std::to_string(bounds[q]) + " > " +
+                            std::to_string(cand_min[q]);
+        }
       }
     }
   }
@@ -366,6 +407,81 @@ void CheckBlockBoundCertified(const CappedInput& input) {
   EXPECT_EQ(violations, 0u) << input.label << ": " << violations << " of "
                             << checks << " block bounds exceed their block "
                             << "minimum; first at " << first_violation;
+}
+
+// Replays the solver's candidate masks over a finished naive table: for
+// every row k, cell i and 64-candidate block anchored at k-1 (the cell's
+// last block partial), vopt_kernel::SquaredCandidateMask runs at three
+// thresholds — the cell's optimum T[k][i], where the solver's ub ends, and
+// the block's smallest and largest exact candidates. Every bound it writes
+// must be at most its exact candidate prev[j] + CostBetween(j, i), every
+// candidate whose exact value is at most the threshold must have its bit,
+// and no bit may lie past the block's end.
+void CheckCandidateMaskCertified(const CappedInput& input) {
+  ThreadPool sequential(1);
+  const IntervalCostTable costs = SquaredCosts(input.counts, input.grid_step);
+  const VOptSolver naive = SolveWith(costs, VOptStrategy::kNaive, &sequential,
+                                     input.max_buckets);
+  const SquaredReplay r(costs);
+  const std::size_t m = r.m;
+
+  std::uint64_t checks = 0;
+  std::uint64_t violations = 0;
+  std::string first_violation;
+  auto fail = [&](std::size_t k, std::size_t i, std::size_t j,
+                  const std::string& what) {
+    if (violations++ == 0) {
+      first_violation = "k=" + std::to_string(k) + " i=" + std::to_string(i) +
+                        " j=" + std::to_string(j) + ": " + what;
+    }
+  };
+  std::vector<double> prev(m + 1);
+  double exact[64];
+  double lb[64];
+  for (std::size_t k = 2; k <= naive.max_buckets(); ++k) {
+    for (std::size_t j = 0; j <= m; ++j) {
+      prev[j] = naive.PrefixCost(k - 1, j);
+    }
+    for (std::size_t i = k; i < r.bound_end; ++i) {
+      const double* rr = r.rrev.data() + (m - i);
+      for (std::size_t b0 = k - 1; b0 < i; b0 += 64) {
+        const std::size_t e = std::min(i, b0 + 64);
+        double lo = kInf;
+        double hi = -kInf;
+        for (std::size_t j = b0; j < e; ++j) {
+          exact[j - b0] = prev[j] + costs.CostBetween(j, i);
+          lo = std::min(lo, exact[j - b0]);
+          hi = std::max(hi, exact[j - b0]);
+        }
+        for (const double ub : {naive.PrefixCost(k, i), lo, hi}) {
+          const std::uint64_t mask = vopt_kernel::SquaredCandidateMask(
+              prev.data(), r.csum.data(), r.csq.data(), rr, r.csum[i],
+              r.csq[i], ub, b0, e, lb);
+          ++checks;
+          if (e - b0 < 64 && (mask >> (e - b0)) != 0) {
+            fail(k, i, e, "mask bit past the block's end");
+          }
+          for (std::size_t j = b0; j < e; ++j) {
+            const std::size_t o = j - b0;
+            if (lb[o] > exact[o]) {
+              fail(k, i, j,
+                   "bound " + std::to_string(lb[o]) + " > exact " +
+                       std::to_string(exact[o]));
+            }
+            if (exact[o] <= ub && ((mask >> o) & 1) == 0) {
+              fail(k, i, j,
+                   "exact " + std::to_string(exact[o]) + " <= ub " +
+                       std::to_string(ub) + " but its bit is clear");
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 0u) << input.label;
+  EXPECT_EQ(violations, 0u) << input.label << ": " << violations
+                            << " mask violations in " << checks
+                            << " kernel calls; first at " << first_violation;
 }
 
 // The absolute-cost analogue of CheckBlockBoundCertified: replays the
@@ -576,6 +692,33 @@ TEST(VOptMonotoneTest, BlockBoundNeverExceedsBlockMinimum) {
   for (const CappedInput& input : CappedInputs()) {
     CheckBlockBoundCertified(input);
   }
+}
+
+TEST(VOptMonotoneTest, CandidateMaskKeepsEveryCandidateAtOrBelowUb) {
+  for (const CappedInput& input : CappedInputs()) {
+    CheckCandidateMaskCertified(input);
+  }
+}
+
+TEST(VOptMonotoneTest, ColdShapeBatteryBitIdentical) {
+  // NoiseFirst's 256-bucket solve over the noisy network trace at every
+  // epsilon the 36-CSV parent-vs-change set publishes, three noise seeds
+  // each, on the unit grid and on grid step 3 (n = 1024 is not a multiple
+  // of 3, so the final cell of every row takes the naive scan).
+  for (const double epsilon : {0.01, 0.1, 1.0}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const std::vector<double> counts = ColdShapeCounts(1024, epsilon, seed);
+      for (const std::size_t grid_step : {std::size_t{1}, std::size_t{3}}) {
+        CheckEquivalent(SquaredCosts(counts, grid_step), 256,
+                        "cold/eps" + std::to_string(epsilon) + "/seed" +
+                            std::to_string(seed) + "/grid" +
+                            std::to_string(grid_step));
+      }
+    }
+  }
+  // A domain four times the cold one: 64 blocks per row.
+  CheckEquivalent(SquaredCosts(ColdShapeCounts(4096, 0.1, 4), 1), 256,
+                  "cold/n4096", /*parallel_naive=*/true);
 }
 
 TEST(VOptMonotoneTest, ColdShapeSkipsMostBoundScans) {
