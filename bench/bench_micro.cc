@@ -144,8 +144,7 @@ void BM_IntervalCostBuildAbsolute(benchmark::State& state) {
 BENCHMARK(BM_IntervalCostBuildAbsolute)->Arg(256)->Arg(1024);
 
 // Arg 0: domain size; arg 1: row strategy (0 = naive, 1 = monotone). The
-// strategy is set explicitly so a DPHIST_VOPT_STRATEGY override cannot
-// collapse the comparison into measuring one path twice.
+// strategy is set explicitly so both row fills are measured at every size.
 void BM_VOptSolve(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::vector<double> counts = RandomCounts(n);

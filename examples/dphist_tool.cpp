@@ -85,14 +85,12 @@ struct Flags {
   bool delta_set = false;
   std::uint64_t workload_seed = 1;
   std::string out_path;
-  dphist::VOptStrategy vopt_strategy = dphist::VOptStrategy::kAuto;
-  bool vopt_strategy_set = false;
   dphist::NoiseModel noise_model = dphist::NoiseModel::kAuto;
   bool noise_model_set = false;
 };
 
 // Parses trailing --n/--seed/--queries/--budget/--batches/--journal/
-// --shards/--tenant/--vopt-strategy/--noise-model flags from argv[start..).
+// --shards/--tenant/--noise-model flags from argv[start..).
 bool ParseFlags(int argc, char** argv, int start, Flags* flags) {
   for (int i = start; i < argc; ++i) {
     auto need_value = [&](const char* name) -> const char* {
@@ -210,17 +208,6 @@ bool ParseFlags(int argc, char** argv, int start, Flags* flags) {
       const char* value = need_value("--out");
       if (value == nullptr) return false;
       flags->out_path = value;
-    } else if (std::strcmp(argv[i], "--vopt-strategy") == 0) {
-      const char* value = need_value("--vopt-strategy");
-      if (value == nullptr) return false;
-      if (!dphist::ParseVOptStrategy(value, &flags->vopt_strategy)) {
-        std::fprintf(stderr,
-                     "--vopt-strategy must be auto, naive, or monotone "
-                     "(got: %s)\n",
-                     value);
-        return false;
-      }
-      flags->vopt_strategy_set = true;
     } else if (std::strcmp(argv[i], "--noise-model") == 0) {
       const char* value = need_value("--noise-model");
       if (value == nullptr) return false;
@@ -277,7 +264,7 @@ int Usage() {
       "  dphist_tool generate <age|nettrace|searchlogs|social> <out.csv>"
       " [--n N] [--seed S]\n"
       "  dphist_tool publish <algorithm> <epsilon> <in.csv> <out.csv>"
-      " [--seed S] [--vopt-strategy auto|naive|monotone]\n"
+      " [--seed S]\n"
       "           [--noise-model auto|textbook|batched|snapped|discrete]\n"
       "           [--sparse-domain D] [--expected-spurious S] [--delta D]\n"
       "  dphist_tool evaluate <truth.csv> <released.csv> [--queries Q]"
@@ -307,12 +294,6 @@ int Usage() {
       "(default: $DPHIST_JOURNAL_DIR; unset means in-memory). --shards\n"
       "sets the release-cache shard count (default: $DPHIST_SERVE_SHARDS).\n"
       "--tenant names the serving namespace.\n"
-      "\n"
-      "--vopt-strategy picks the v-opt DP row fill for noise_first /\n"
-      "structure_first (a pure execution knob: every strategy publishes\n"
-      "bit-identical histograms). The DPHIST_VOPT_STRATEGY environment\n"
-      "variable applies the same override to every solve, including the\n"
-      "serve subcommand's publishers.\n"
       "\n"
       "--sparse-domain D switches publish/serve to the sparse\n"
       "representation: the input CSV holds `key,count` lines (keys\n"
@@ -419,38 +400,34 @@ int RunPublish(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", publisher.status().ToString().c_str());
     return 1;
   }
-  // Explicit --vopt-strategy / --noise-model flags rebuild the publisher
-  // with the knob in its Options (beating any DPHIST_VOPT_STRATEGY /
-  // DPHIST_NOISE_MODEL in the environment), re-wrapped in the registry's
-  // obs decorator so metrics stay uniform.
-  if (flags.vopt_strategy_set || flags.noise_model_set) {
+  // An explicit --noise-model rebuilds the publisher with the model in
+  // its Options (beating any DPHIST_NOISE_MODEL in the environment),
+  // re-wrapped in the registry's obs decorator so metrics stay uniform.
+  if (flags.noise_model_set) {
     if (algorithm == "noise_first") {
       dphist::NoiseFirst::Options options;
-      options.vopt_strategy = flags.vopt_strategy;
       options.noise_model = flags.noise_model;
       publisher = dphist::PublisherRegistry::Instrument(
           std::make_unique<dphist::NoiseFirst>(options));
     } else if (algorithm == "structure_first") {
       dphist::StructureFirst::Options options;
-      options.vopt_strategy = flags.vopt_strategy;
       options.noise_model = flags.noise_model;
       publisher = dphist::PublisherRegistry::Instrument(
           std::make_unique<dphist::StructureFirst>(options));
-    } else if (algorithm == "dwork" && flags.noise_model_set) {
+    } else if (algorithm == "dwork") {
       dphist::IdentityLaplace::Options options;
       options.noise_model = flags.noise_model;
       publisher = dphist::PublisherRegistry::Instrument(
           std::make_unique<dphist::IdentityLaplace>(options));
-    } else if (algorithm == "geometric" && flags.noise_model_set) {
+    } else if (algorithm == "geometric") {
       dphist::IdentityGeometric::Options options;
       options.noise_model = flags.noise_model;
       publisher = dphist::PublisherRegistry::Instrument(
           std::make_unique<dphist::IdentityGeometric>(options));
     } else {
       std::fprintf(stderr,
-                   "note: --vopt-strategy affects only noise_first and "
-                   "structure_first, --noise-model additionally dwork and "
-                   "geometric; ignored for %s\n",
+                   "note: --noise-model affects only dwork, geometric, "
+                   "noise_first and structure_first; ignored for %s\n",
                    algorithm.c_str());
     }
   }

@@ -62,9 +62,7 @@ Result<Histogram> NoiseFirst::PublishWithDetails(const Histogram& histogram,
   } else {
     max_k = std::min<std::size_t>(m, 256);
   }
-  VOptSolver::SolveOptions solve_options;
-  solve_options.strategy = options_.vopt_strategy;
-  auto solver = VOptSolver::Solve(costs, max_k, solve_options);
+  auto solver = VOptSolver::Solve(costs, max_k);
   if (!solver.ok()) {
     return solver.status();
   }

@@ -63,10 +63,6 @@ class NoiseFirst final : public HistogramPublisher {
     /// the expected cumulative overfit gain sum_{j<k} b^2 ln^2(n/j) to the
     /// k-bucket score, which restores small k* on structure-less data.
     bool bias_corrected_selection = false;
-    /// Row-fill strategy for the v-opt dynamic program (pure execution
-    /// knob: every strategy yields bit-identical structures; see
-    /// VOptSolver::SolveOptions::strategy).
-    VOptStrategy vopt_strategy = VOptStrategy::kAuto;
     /// Sampling construction for the step-1 per-bin noise (DESIGN §10).
     /// kAuto resolves DPHIST_NOISE_MODEL and falls back to the textbook
     /// scalar sampler; an explicit model here wins over the environment.

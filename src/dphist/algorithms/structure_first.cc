@@ -156,9 +156,7 @@ Result<Histogram> StructureFirst::PublishWithDetails(
                : std::min(options_.num_buckets, m);
   Result<VOptSolver> solver = Status::Internal("unset");
   if (adaptive || (k_cap > 1 && k_cap < m)) {
-    VOptSolver::SolveOptions solve_options;
-    solve_options.strategy = options_.vopt_strategy;
-    solver = VOptSolver::Solve(costs, k_cap, solve_options);
+    solver = VOptSolver::Solve(costs, k_cap);
     if (!solver.ok()) {
       return solver.status();
     }

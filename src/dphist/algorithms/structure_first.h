@@ -92,10 +92,6 @@ class StructureFirst final : public HistogramPublisher {
     std::size_t grid_step = 0;
     /// Clamp published counts at zero.
     bool clamp_nonnegative = false;
-    /// Row-fill strategy for the v-opt dynamic program (pure execution
-    /// knob: every strategy yields bit-identical tables, hence identical
-    /// boundary-sampling utilities; see VOptSolver::SolveOptions).
-    VOptStrategy vopt_strategy = VOptStrategy::kAuto;
     /// Sampling construction for the step-2 bucket-sum noise (DESIGN
     /// §10). kAuto resolves DPHIST_NOISE_MODEL and falls back to the
     /// textbook scalar sampler. The step-1 exponential-mechanism draws

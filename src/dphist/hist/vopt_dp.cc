@@ -5,7 +5,6 @@
 #include <bit>
 #include <limits>
 
-#include "dphist/common/env.h"
 #include "dphist/common/thread_pool.h"
 #include "dphist/hist/vopt_kernel.h"
 #include "dphist/obs/obs.h"
@@ -304,22 +303,6 @@ const char* VOptStrategyName(VOptStrategy strategy) {
   return "unknown";
 }
 
-bool ParseVOptStrategy(std::string_view text, VOptStrategy* out) {
-  if (text == "auto") {
-    *out = VOptStrategy::kAuto;
-    return true;
-  }
-  if (text == "naive") {
-    *out = VOptStrategy::kNaive;
-    return true;
-  }
-  if (text == "monotone") {
-    *out = VOptStrategy::kMonotone;
-    return true;
-  }
-  return false;
-}
-
 Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
                                      std::size_t max_buckets) {
   return Solve(costs, max_buckets, SolveOptions{});
@@ -352,16 +335,6 @@ Result<VOptSolver> VOptSolver::Solve(const IntervalCostTable& costs,
   const bool endpoint_uniform = interior_uniform && positions[m] == m * grid;
 
   VOptStrategy strategy = options.strategy;
-  if (strategy == VOptStrategy::kAuto) {
-    if (const auto env = GetEnv("DPHIST_VOPT_STRATEGY")) {
-      VOptStrategy parsed = VOptStrategy::kAuto;
-      if (ParseVOptStrategy(*env, &parsed)) {
-        strategy = parsed;
-      }
-      // Unknown values keep kAuto: a misspelled env var should fall back
-      // to the default policy, not change results (it cannot — only work).
-    }
-  }
   if (strategy == VOptStrategy::kAuto) {
     // Decision table (DESIGN §7): monotone whenever its structural
     // preconditions hold and rows are long enough for pruning to pay.

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "dphist/common/parallel_defaults.h"
@@ -18,10 +17,8 @@ class ThreadPool;
 
 /// \brief How VOptSolver fills each DP row (see DESIGN §7).
 enum class VOptStrategy {
-  /// Resolve from the DPHIST_VOPT_STRATEGY environment variable when set
-  /// ("auto" / "naive" / "monotone"), otherwise pick from the decision
-  /// table in DESIGN §7 (monotone whenever its preconditions hold and the
-  /// row is long enough to prune).
+  /// Pick from the decision table in DESIGN §7 (monotone whenever its
+  /// preconditions hold and the row is long enough to prune).
   kAuto,
   /// The reference O(i) predecessor scan per cell.
   kNaive,
@@ -33,10 +30,6 @@ enum class VOptStrategy {
 
 /// Returns "auto", "naive", or "monotone".
 const char* VOptStrategyName(VOptStrategy strategy);
-
-/// Parses "auto" / "naive" / "monotone" into `out`; returns false (leaving
-/// `out` untouched) on any other input.
-bool ParseVOptStrategy(std::string_view text, VOptStrategy* out);
 
 /// \brief The v-optimal histogram dynamic program (Jagadish et al.,
 /// VLDB'98), generalized to an arbitrary interval-cost measure.
@@ -72,10 +65,9 @@ class VOptSolver {
     /// absolute-cost build (common/parallel_defaults.h) so both stages of
     /// one solve cut over at the same size.
     std::size_t min_parallel_candidates = kDefaultMinParallelCandidates;
-    /// Row-fill strategy. kAuto consults DPHIST_VOPT_STRATEGY and then the
-    /// DESIGN §7 decision table; an explicit kNaive/kMonotone here wins
-    /// over the environment (benchmark sweeps set it explicitly so an env
-    /// override cannot silently collapse the comparison).
+    /// Row-fill strategy. kAuto applies the DESIGN §7 decision table; an
+    /// explicit kNaive/kMonotone is for the equivalence tests and the
+    /// benchmark sweeps that compare the two fills.
     VOptStrategy strategy = VOptStrategy::kAuto;
   };
 

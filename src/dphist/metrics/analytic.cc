@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dphist/common/math_util.h"
+#include "dphist/privacy/budget.h"
 #include "dphist/transform/haar_wavelet.h"
 
 namespace dphist {
@@ -20,8 +21,9 @@ std::size_t Overlap(std::size_t a1, std::size_t b1, std::size_t a2,
 }  // namespace
 
 Result<double> DworkRangeVariance(std::size_t length, double epsilon) {
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("DworkRangeVariance requires epsilon > 0");
+  if (!BudgetAccountant::ChargeableEpsilon(epsilon)) {
+    return Status::InvalidArgument(
+        "DworkRangeVariance requires a finite epsilon > 0");
   }
   return 2.0 * static_cast<double>(length) / (epsilon * epsilon);
 }
@@ -33,9 +35,9 @@ Result<double> PriveletRangeVariance(std::size_t domain_size,
     return Status::InvalidArgument(
         "PriveletRangeVariance requires a power-of-two domain");
   }
-  if (!(epsilon > 0.0)) {
+  if (!BudgetAccountant::ChargeableEpsilon(epsilon)) {
     return Status::InvalidArgument(
-        "PriveletRangeVariance requires epsilon > 0");
+        "PriveletRangeVariance requires a finite epsilon > 0");
   }
   if (query.begin >= query.end || query.end > domain_size) {
     return Status::InvalidArgument(
@@ -74,8 +76,9 @@ Result<double> GroupedBinVariance(std::size_t group_width, double epsilon) {
   if (group_width == 0) {
     return Status::InvalidArgument("GroupedBinVariance requires width >= 1");
   }
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("GroupedBinVariance requires epsilon > 0");
+  if (!BudgetAccountant::ChargeableEpsilon(epsilon)) {
+    return Status::InvalidArgument(
+        "GroupedBinVariance requires a finite epsilon > 0");
   }
   const double w = static_cast<double>(group_width);
   return 2.0 / (w * w * epsilon * epsilon);

@@ -210,21 +210,23 @@ void TrimScratch(Container& scratch) {
   }
 }
 
-// Identity of the release a query request resolves to — the coalescing
-// group key. Epsilon joins by bit pattern: coalescing must only merge
-// requests that are exactly the same release.
-std::string GroupSignature(const WireQueryRequest& request) {
+// Identity of the release a request resolves to: the key a request waits
+// under while another request for the same release is on the pool.
+// Epsilon joins by bit pattern, so only requests for exactly the same
+// release wait on each other.
+std::string ReleaseSignature(const serve::TenantKey& key,
+                             const serve::ServeRequest& request) {
   std::uint64_t epsilon_bits = 0;
-  std::memcpy(&epsilon_bits, &request.request.epsilon, sizeof(epsilon_bits));
-  std::string sig = request.tenant;
+  std::memcpy(&epsilon_bits, &request.epsilon, sizeof(epsilon_bits));
+  std::string sig = key.tenant;
   sig += '\0';
-  sig += request.dataset;
+  sig += key.dataset;
   sig += '\0';
-  sig += request.request.publisher;
+  sig += request.publisher;
   sig += '\0';
   sig += std::to_string(epsilon_bits);
   sig += '\0';
-  sig += std::to_string(request.request.seed);
+  sig += std::to_string(request.seed);
   return sig;
 }
 
@@ -249,34 +251,38 @@ struct NetServer::Impl {
     std::string inbuf;  // read, but left unparsed by a dispatched request
     std::deque<Payload> outq;  // responses awaiting write, in order
     std::size_t out_pos = 0;   // bytes of outq.front() already written
-    bool dispatched = false;   // a request is inside a handler
+    bool dispatched = false;   // a request is on the pool or waiting
     bool close_after_write = false;
   };
   std::map<std::uint64_t, Conn> conns;  // keyed by id, not fd (fds recycle)
   std::uint64_t next_conn_id = 1;
 
   // --- admission + worker bookkeeping ---
-  std::atomic<std::size_t> inflight{0};       // requests inside handlers
+  std::atomic<std::size_t> inflight{0};       // admitted, not yet answered
   std::atomic<std::size_t> pending_tasks{0};  // submitted, not yet finished
 
-  // Completions: worker -> event loop, keyed by connection id.
-  std::mutex done_mutex;
-  std::vector<std::pair<std::uint64_t, Payload>> done;
-
-  // --- query coalescing ---
+  // A request on the dispatched path: admitted, with its decoded fields
+  // copied out of the loop's scratch so it can wait or run on a worker.
   struct PendingQuery {
     std::uint64_t conn_id = 0;
-    WireQueryRequest request;
+    bool release = false;  // /v1/release; /v1/query otherwise
+    serve::TenantKey key;
+    serve::ServeRequest request;
+    std::vector<RangeQuery> queries;
+    std::string signature;  // ReleaseSignature(key, request)
     bool binary = true;
     bool close = false;
     std::chrono::steady_clock::time_point start;
   };
-  struct Group {
-    bool leader_active = false;
-    std::vector<PendingQuery> waiting;
-  };
-  std::mutex groups_mutex;
-  std::map<std::string, Group> groups;
+
+  // Completions: worker -> event loop, each with the request it answers.
+  std::mutex done_mutex;
+  std::vector<std::pair<PendingQuery, Payload>> done;
+
+  // Requests waiting for the pool to finish a request for the same
+  // release, by signature. A key is present exactly while one request
+  // with that signature is on the pool (event-loop thread only).
+  std::map<std::string, std::vector<PendingQuery>> waiting;
 
   // --- the loop's decode and answer scratch (event-loop thread only),
   // reused across requests so the fast lane allocates nothing once warm ---
@@ -300,8 +306,6 @@ struct NetServer::Impl {
       obs::Registry::Global().GetCounter("net/bytes_zero_copy");
   obs::Distribution& request_ms =
       obs::Registry::Global().GetDistribution("net/request_ms");
-  obs::Distribution& coalesce_group =
-      obs::Registry::Global().GetDistribution("net/coalesce_group");
 
   void Wake() {
     const char byte = 1;
@@ -309,124 +313,59 @@ struct NetServer::Impl {
     [[maybe_unused]] const ssize_t n = write(wake_write, &byte, 1);
   }
 
-  void CompleteRequest(const PendingQuery& pending, Payload response) {
+  void RecordRequestMs(std::chrono::steady_clock::time_point start) {
     if (obs::Enabled()) {
       request_ms.Record(std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - pending.start)
+                            std::chrono::steady_clock::now() - start)
                             .count());
     }
+  }
+
+  // The one dispatched request handler, on a worker (or inline on the
+  // loop thread for a single-threaded pool): publish or hit the cache,
+  // answer, and hand the response back to the loop.
+  void RunDispatched(PendingQuery pending) {
+    if (options.handler_hook) {
+      options.handler_hook();
+    }
+    Payload response;
+    Status failed;
+    if (pending.release) {
+      auto release = server->GetRelease(pending.key, pending.request);
+      if (release.ok()) {
+        response = BuildSharedResponse(
+            200, StatusCode::kOk, pending.binary,
+            ReleaseFrame(*release.value(), pending.binary), pending.close);
+      } else {
+        failed = release.status();
+      }
+    } else {
+      auto answered =
+          server->AnswerBatch(pending.key, pending.queries, pending.request);
+      if (answered.ok()) {
+        const serve::BatchAnswer& batch = answered.value();
+        AppendAnswerResponse(response.head, pending.binary, pending.close,
+                             batch.answers, batch.stale, batch.cache_hit,
+                             batch.served);
+      } else {
+        failed = answered.status();
+      }
+    }
+    if (!failed.ok()) {
+      errors.Increment();
+      response = BuildErrorResponse(failed, pending.binary, pending.close);
+    }
+    RecordRequestMs(pending.start);
     inflight.fetch_sub(1, std::memory_order_acq_rel);
     {
       std::lock_guard<std::mutex> lock(done_mutex);
-      done.emplace_back(pending.conn_id, std::move(response));
-    }
-    Wake();
-  }
-
-  // A dispatched query's response: its queries' answers, from `offset` in
-  // `answered` (its group's merged batch, or its own), or the typed error.
-  Payload AnswerResponse(const PendingQuery& pending,
-                         const Result<serve::BatchAnswer>& answered,
-                         std::size_t offset) {
-    if (!answered.ok()) {
-      errors.Increment();
-      return BuildErrorResponse(answered.status(), pending.binary,
-                                pending.close);
-    }
-    const serve::BatchAnswer& batch = answered.value();
-    const std::span<const double> answers(batch.answers);
-    const std::size_t count = pending.request.queries.size();
-    Payload response;
-    AppendAnswerResponse(response.head, pending.binary, pending.close,
-                         answers.subspan(offset, count), batch.stale,
-                         batch.cache_hit, batch.served);
-    return response;
-  }
-
-  // Leader loop for one coalescing group: drain waiters, answer them with
-  // ONE serve-layer batch, repeat until the group is empty. Runs on a
-  // worker (or inline on the loop thread for a single-threaded pool).
-  void RunGroupLeader(const std::string& signature) {
-    for (;;) {
-      std::vector<PendingQuery> batch;
-      {
-        std::lock_guard<std::mutex> lock(groups_mutex);
-        Group& group = groups[signature];
-        batch.swap(group.waiting);
-        if (batch.empty()) {
-          groups.erase(signature);
-          break;
-        }
-      }
-      if (options.handler_hook) {
-        options.handler_hook();
-      }
-      coalesced_batches.Increment();
-      coalesced_requests.Add(batch.size());
-      if (obs::Enabled()) {
-        coalesce_group.Record(static_cast<double>(batch.size()));
-      }
-
-      std::vector<RangeQuery> all_queries;
-      for (const PendingQuery& pending : batch) {
-        all_queries.insert(all_queries.end(), pending.request.queries.begin(),
-                           pending.request.queries.end());
-      }
-      const WireQueryRequest& head = batch.front().request;
-      const serve::TenantKey tenant_key{head.tenant, head.dataset};
-      const auto answered =
-          server->AnswerBatch(tenant_key, all_queries, head.request);
-      // One member's bad query must neither fail the others nor be
-      // reported at its index in the merged batch: then every member is
-      // answered as if it had come alone. AnswerBatch validates before it
-      // charges, so a bad query adds no charge.
-      const StatusCode code = answered.status().code();  // kOk on success
-      const bool invalid = code == StatusCode::kInvalidArgument;
-      std::size_t offset = 0;
-      for (const PendingQuery& pending : batch) {
-        if (invalid && batch.size() > 1) {
-          const auto& queries = pending.request.queries;
-          auto own = server->AnswerBatch(tenant_key, queries, head.request);
-          CompleteRequest(pending, AnswerResponse(pending, own, 0));
-          continue;
-        }
-        CompleteRequest(pending, AnswerResponse(pending, answered, offset));
-        offset += pending.request.queries.size();
-      }
+      done.emplace_back(std::move(pending), std::move(response));
     }
     // Wake BEFORE the decrement: the drain check in EventLoop exits (and
     // Stop() then closes the wake pipe) as soon as pending_tasks reads 0,
     // and the release/acquire pair on the counter is what orders this
     // thread's pipe write before that close. A wakeup consumed ahead of
-    // the decrement only costs one poll timeout.
-    Wake();
-    pending_tasks.fetch_sub(1, std::memory_order_acq_rel);
-  }
-
-  // One /v1/release request: publish (or hit the cache) and ship the full
-  // released histogram from the release's encoded frame, so the
-  // dispatched path both seeds and reuses the same memo as the inline
-  // fast lane.
-  void RunRelease(PendingQuery pending) {
-    if (options.handler_hook) {
-      options.handler_hook();
-    }
-    auto release = server->GetRelease(
-        serve::TenantKey{pending.request.tenant, pending.request.dataset},
-        pending.request.request);
-    Payload response;
-    if (!release.ok()) {
-      errors.Increment();
-      response =
-          BuildErrorResponse(release.status(), pending.binary, pending.close);
-    } else {
-      response = BuildSharedResponse(
-          200, StatusCode::kOk, pending.binary,
-          ReleaseFrame(*release.value(), pending.binary), pending.close);
-    }
-    CompleteRequest(pending, std::move(response));
-    // Same ordering contract as RunBatch: pipe write before the decrement
-    // that lets shutdown close the pipe.
+    // the decrement only costs the draining loop one short poll.
     Wake();
     pending_tasks.fetch_sub(1, std::memory_order_acq_rel);
   }
@@ -473,6 +412,102 @@ struct NetServer::Impl {
     query_request.epsilon = query_view.epsilon;
     query_request.seed = query_view.seed;
     return Status::Ok();
+  }
+
+  // The fast lane: a release already sealed in the cache involves no
+  // publisher, no budget charge, and no journal write — nothing that can
+  // block or queue — so a request for one is answered inline on the event
+  // loop, into `conn`'s output queue, instead of paying the worker handoff
+  // and the completion-queue round trip. The loop, not the pool, is what
+  // saturates under pipelined load — it runs near fully busy while the
+  // workers idle — so this lane copies nothing it can read in place: the
+  // answers go into a reused vector and straight into the connection's
+  // output buffer, and it never forks onto the pool, whatever the batch
+  // size, since every connection waits while the loop does. A bad batch
+  // gets the same typed error the dispatched path would give (bad
+  // queries, cross-tenant probe); the fast lane never masks one. Returns
+  // false, writing nothing, when the release is not sealed, or when a
+  // handler_hook is set (tests that must observe every request on a
+  // worker).
+  bool TryAnswerSealed(Conn& conn, bool release, const serve::TenantKey& key,
+                       const std::vector<RangeQuery>& queries,
+                       const serve::ServeRequest& request, bool binary,
+                       bool close) {
+    if (options.handler_hook) {
+      return false;
+    }
+    if (release) {
+      auto sealed = server->TryGetCached(key, request);
+      if (sealed == nullptr) {
+        return false;
+      }
+      conn.outq.push_back(BuildSharedResponse(
+          200, StatusCode::kOk, binary, ReleaseFrame(*sealed, binary), close));
+      return true;
+    }
+    auto hit = server->TryAnswerCached(key, queries, request, &fast_answer);
+    if (!hit.ok()) {
+      errors.Increment();
+      conn.outq.push_back(BuildErrorResponse(hit.status(), binary, close));
+      return true;
+    }
+    if (!hit.value()) {
+      return false;
+    }
+    AppendAnswerResponse(OutBuffer(conn), binary, close, fast_answer.answers,
+                         fast_answer.stale, fast_answer.cache_hit,
+                         fast_answer.served);
+    return true;
+  }
+
+  // The dispatched path: `pending` goes to the pool unless a request for
+  // the same release is already there, in which case it waits on the loop
+  // for that request to complete. The release cache's per-key publish slot
+  // alone already gives one publish and one charge per release; the wait
+  // keeps a request that would only block on that slot off the pool.
+  void Dispatch(PendingQuery pending) {
+    auto [it, first] = waiting.try_emplace(pending.signature);
+    if (!first) {
+      it->second.push_back(std::move(pending));
+      return;
+    }
+    coalesced_batches.Increment();
+    pending_tasks.fetch_add(1, std::memory_order_acq_rel);
+    pool->Submit([this, p = std::move(pending)]() mutable {
+      RunDispatched(std::move(p));
+    });
+  }
+
+  // Runs on the loop when the pool finishes the request for `signature`:
+  // each request waiting on it re-enters the fast lane against the
+  // release just sealed. One that still misses — the finished request
+  // failed, or a handler_hook turns the fast lane off — is dispatched in
+  // turn.
+  void ResumeWaiters(const std::string& signature) {
+    auto node = waiting.extract(signature);
+    if (node.empty()) {
+      return;
+    }
+    for (PendingQuery& waiter : node.mapped()) {
+      const auto it = conns.find(waiter.conn_id);
+      if (it == conns.end()) {
+        // The client went away while waiting: nothing to answer.
+        inflight.fetch_sub(1, std::memory_order_acq_rel);
+        continue;
+      }
+      Conn& conn = it->second;
+      if (TryAnswerSealed(conn, waiter.release, waiter.key, waiter.queries,
+                          waiter.request, waiter.binary, waiter.close)) {
+        RecordRequestMs(waiter.start);
+        inflight.fetch_sub(1, std::memory_order_acq_rel);
+        conn.dispatched = false;
+        continue;
+      }
+      Dispatch(std::move(waiter));
+    }
+    // One outsized waiting batch must not pin its memory in the loop's
+    // scratch for the server's lifetime.
+    TrimScratch(fast_answer.answers);
   }
 
   // Routes one complete parsed request. Returns false when the connection
@@ -527,59 +562,13 @@ struct NetServer::Impl {
       Respond(conn, BuildErrorResponse(decoded, binary, close));
       return;
     }
-    const std::vector<RangeQuery>& queries = query_view.queries;
-
-    // Fast lane: a release already sealed in the cache involves no
-    // publisher, no budget charge, and no journal write — nothing that
-    // can block or queue — so answer it inline on the event loop instead
-    // of paying the worker handoff and the completion-queue round trip.
-    // The loop, not the pool, is what saturates under pipelined load —
-    // it runs near fully busy while the workers idle — so this lane
-    // copies nothing it can read in place: the query is decoded as a
-    // view, answered into a reused vector and written straight into the
-    // connection's output buffer, and it never forks onto the pool,
-    // whatever the batch size, since every connection waits while the
-    // loop does. Disabled by a handler_hook (tests that must observe
-    // every request on a worker).
-    if (!options.handler_hook) {
-      const auto start = std::chrono::steady_clock::now();
-      bool answered = false;
-      if (target == "/v1/query") {
-        auto hit = server->TryAnswerCached(query_key, queries, query_request,
-                                           &fast_answer);
-        if (!hit.ok()) {
-          // Same typed error the dispatched path would produce (bad
-          // queries, cross-tenant probe); the fast lane never masks one.
-          errors.Increment();
-          Respond(conn, BuildErrorResponse(hit.status(), binary, close));
-          return;
-        }
-        if (hit.value()) {
-          AppendAnswerResponse(OutBuffer(conn), binary, close,
-                               fast_answer.answers, fast_answer.stale,
-                               fast_answer.cache_hit, fast_answer.served);
-          requests.Increment();
-          answered = true;
-        }
-      } else {  // /v1/release
-        auto release = server->TryGetCached(query_key, query_request);
-        if (release != nullptr) {
-          Respond(conn, BuildSharedResponse(200, StatusCode::kOk, binary,
-                                            ReleaseFrame(*release, binary),
-                                            close));
-          answered = true;
-        }
-      }
-      if (answered) {
-        if (obs::Enabled()) {
-          request_ms.Record(std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - start)
-                                .count());
-        }
-        return;
-      }
-      // Not sealed yet: fall through to the dispatched path (coalescing,
-      // admission control, publish) unchanged.
+    const bool release = target == "/v1/release";
+    const auto start = std::chrono::steady_clock::now();
+    if (TryAnswerSealed(conn, release, query_key, query_view.queries,
+                        query_request, binary, close)) {
+      requests.Increment();
+      RecordRequestMs(start);
+      return;
     }
 
     // Admission control: the bounded in-flight queue. Refusal is typed and
@@ -605,39 +594,18 @@ struct NetServer::Impl {
 
     PendingQuery pending;
     pending.conn_id = conn.id;
-    pending.request.tenant = query_key.tenant;
-    pending.request.dataset = query_key.dataset;
-    pending.request.request = query_request;
-    pending.request.queries = queries;
+    pending.release = release;
+    pending.key = query_key;
+    pending.request = query_request;
+    pending.queries = query_view.queries;
+    pending.signature = ReleaseSignature(query_key, query_request);
     pending.binary = binary;
     pending.close = close;
-    pending.start = std::chrono::steady_clock::now();
+    pending.start = start;
     conn.dispatched = true;
     requests.Increment();
-
-    if (target == "/v1/release") {
-      pending_tasks.fetch_add(1, std::memory_order_acq_rel);
-      pool->Submit([this, p = std::move(pending)]() mutable {
-        RunRelease(std::move(p));
-      });
-      return;
-    }
-
-    const std::string signature = GroupSignature(pending.request);
-    bool need_leader = false;
-    {
-      std::lock_guard<std::mutex> lock(groups_mutex);
-      Group& group = groups[signature];
-      group.waiting.push_back(std::move(pending));
-      if (!group.leader_active) {
-        group.leader_active = true;
-        need_leader = true;
-      }
-    }
-    if (need_leader) {
-      pending_tasks.fetch_add(1, std::memory_order_acq_rel);
-      pool->Submit([this, signature] { RunGroupLeader(signature); });
-    }
+    coalesced_requests.Increment();
+    Dispatch(std::move(pending));
   }
 
   // Feeds `bytes` to the connection's parser, handling each request as it
@@ -772,7 +740,10 @@ struct NetServer::Impl {
 
     for (;;) {
       const bool draining = stopping.load(std::memory_order_acquire);
-      if (draining && pending_tasks.load(std::memory_order_acquire) == 0) {
+      // A waiting request outlives its pool request's decrement until its
+      // completion is processed below, so the drain waits for both.
+      if (draining && pending_tasks.load(std::memory_order_acquire) == 0 &&
+          waiting.empty()) {
         break;
       }
       const bool saturated =
@@ -808,7 +779,11 @@ struct NetServer::Impl {
         fd_conn.push_back(id);
       }
 
-      if (poll(fds.data(), fds.size(), /*timeout_ms=*/200) < 0) {
+      // While draining, a worker's wakeup can be consumed before its
+      // pending_tasks decrement (see RunDispatched), and nothing else will
+      // wake the loop: poll briefly rather than sleep out the timeout.
+      if (poll(fds.data(), fds.size(), /*timeout_ms=*/draining ? 1 : 200) <
+          0) {
         if (errno == EINTR) {
           continue;
         }
@@ -820,18 +795,18 @@ struct NetServer::Impl {
         while (read(wake_read, buffer, sizeof(buffer)) > 0) {
         }
       }
-      std::vector<std::pair<std::uint64_t, Payload>> completed;
+      std::vector<std::pair<PendingQuery, Payload>> completed;
       {
         std::lock_guard<std::mutex> lock(done_mutex);
         completed.swap(done);
       }
-      for (auto& [id, response] : completed) {
-        const auto it = conns.find(id);
-        if (it == conns.end()) {
-          continue;  // client went away mid-request
+      for (auto& [pending, response] : completed) {
+        const auto it = conns.find(pending.conn_id);
+        if (it != conns.end()) {  // else the client went away mid-request
+          it->second.outq.push_back(std::move(response));
+          it->second.dispatched = false;
         }
-        it->second.outq.push_back(std::move(response));
-        it->second.dispatched = false;
+        ResumeWaiters(pending.signature);
       }
 
       std::vector<std::uint64_t> to_close;

@@ -58,28 +58,32 @@ struct NetServerOptions {
 ///      +------------------------------------------------------------<---+
 ///
 /// Admission control and backpressure are two distinct tiers:
-///  * Admission: at most `max_inflight` requests are inside handlers at
-///    once. A request that completes parsing while the bound is met gets
-///    an immediate typed refusal — kResourceExhausted over HTTP 503 with
-///    an `X-Dphist-Status` header and a codec-matched error body. No
-///    hang, no silent drop: the client always receives an answer.
+///  * Admission: at most `max_inflight` requests are on the dispatched
+///    path (on the pool or waiting) at once. A request that completes
+///    parsing while the bound is met gets an immediate typed refusal —
+///    kResourceExhausted over HTTP 503 with an `X-Dphist-Status` header
+///    and a codec-matched error body. No hang, no silent drop: the client
+///    always receives an answer.
 ///  * Backpressure: a connection's socket is not read while its request
-///    is dispatched or its response is being written (per-conn single
-///    outstanding), and accept() pauses while the connection table is
-///    full or the admission bound is met — unread bytes stay in kernel
-///    buffers and TCP flow control pushes back on clients.
+///    is dispatched (or waiting) or its response is being written
+///    (per-conn single outstanding), and accept() pauses while the
+///    connection table is full or the admission bound is met — unread
+///    bytes stay in kernel buffers and TCP flow control pushes back on
+///    clients.
 ///
-/// Query coalescing: concurrent /v1/query requests naming the same
-/// release (tenant, dataset, publisher, epsilon, seed) are merged — the
-/// first becomes the group leader, drains waiters, and issues ONE
-/// `AnswerBatch` over the concatenated queries, then splits the answers
-/// back per request. Answers are per-query O(1) prefix subtractions, so
-/// coalescing is invisible in the results; it exists so a thundering herd
-/// on a cold key costs one publisher invocation (and one budget charge)
-/// end to end, even before the release cache's per-key publish slot. A
-/// merged batch that fails kInvalidArgument (one member's bad query) is
-/// answered again member by member, so each request gets exactly the
-/// answer or error it would have got alone.
+/// Waiting on the loop: every request that misses the fast lane and
+/// passes admission takes one dispatched path. When no request for its
+/// release (tenant, dataset, publisher, epsilon bits, seed) is on the
+/// pool, it is submitted there, to `AnswerBatch` for /v1/query or
+/// `GetRelease` for /v1/release. Otherwise it waits in a list that only
+/// the event loop touches. When the pool's request completes, each waiter
+/// re-enters the fast lane against the release just sealed, and one that
+/// still misses (the first request failed, or a handler_hook turns the
+/// fast lane off) is dispatched in turn. The release cache's per-key
+/// publish slot alone already gives one publish and one budget charge per
+/// release; the wait exists so that a request that would only block on
+/// that slot holds no worker. Each request is answered on its own, so it
+/// gets exactly the answer or error it would have got alone.
 ///
 /// Endpoints:
 ///   POST /v1/query    query request -> batch answer (codec by
@@ -99,14 +103,15 @@ struct NetServerOptions {
 /// worker handoff, no completion-queue round trip, no admission charge: the
 /// admission bound exists to keep publisher work from queueing
 /// unboundedly, and a sealed release involves no publisher work. Requests
-/// whose release is NOT yet cached take the dispatched path unchanged
-/// (coalescing included), so answers are byte-identical between lanes.
+/// whose release is NOT yet cached take the dispatched path, and a waiter
+/// answered from the fast lane is answered by the same function, so
+/// answers are byte-identical between lanes.
 ///
 /// Obs: `net/requests`, `net/refused_admission`, `net/errors`,
-/// `net/coalesced_batches`, `net/coalesced_requests`, `net/connections`,
-/// `net/bytes_zero_copy` counters; `net/request_ms` and
-/// `net/coalesce_group` distributions (plus `serve/frame_cache_hits|
-/// misses` from the frame memo underneath).
+/// `net/coalesced_requests` (each request on the dispatched path, counted
+/// once), `net/coalesced_batches` (each pool dispatch), `net/connections`,
+/// `net/bytes_zero_copy` counters; the `net/request_ms` distribution
+/// (plus `serve/frame_cache_hits|misses` from the frame memo underneath).
 class NetServer {
  public:
   /// `release_server` must outlive this object.
@@ -122,8 +127,9 @@ class NetServer {
   /// message carries errno text).
   Status Start();
 
-  /// Stops accepting, waits for in-flight handlers, closes every socket,
-  /// and joins the event thread. Idempotent.
+  /// Stops accepting, waits for in-flight handlers and the requests
+  /// waiting on them, closes every socket, and joins the event thread.
+  /// Idempotent.
   void Stop();
 
   /// The bound port (after Start); the ephemeral-port answer.

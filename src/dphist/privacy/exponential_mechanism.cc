@@ -3,15 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dphist/privacy/budget.h"
 #include "dphist/random/distributions.h"
 
 namespace dphist {
 
 Result<ExponentialMechanism> ExponentialMechanism::Create(
     double epsilon, double utility_sensitivity) {
-  if (!(epsilon > 0.0)) {
+  if (!BudgetAccountant::ChargeableEpsilon(epsilon)) {
     return Status::InvalidArgument(
-        "ExponentialMechanism requires epsilon > 0");
+        "ExponentialMechanism requires a finite epsilon > 0");
   }
   if (!(utility_sensitivity > 0.0)) {
     return Status::InvalidArgument(

@@ -22,7 +22,8 @@ namespace dphist {
 /// algorithms/structure_first.h for the sensitivity analysis of the cost).
 class ExponentialMechanism {
  public:
-  /// Creates a mechanism; requires epsilon > 0 and utility_sensitivity > 0.
+  /// Creates a mechanism; requires a finite epsilon > 0 and
+  /// utility_sensitivity > 0.
   static Result<ExponentialMechanism> Create(double epsilon,
                                              double utility_sensitivity);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "dphist/privacy/budget.h"
 #include "dphist/random/distributions.h"
 
 namespace dphist {
@@ -13,8 +14,9 @@ Result<GeometricMechanism> GeometricMechanism::Create(
 
 Result<GeometricMechanism> GeometricMechanism::Create(
     double epsilon, std::int64_t sensitivity, NoiseModel model) {
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("GeometricMechanism requires epsilon > 0");
+  if (!BudgetAccountant::ChargeableEpsilon(epsilon)) {
+    return Status::InvalidArgument(
+        "GeometricMechanism requires a finite epsilon > 0");
   }
   if (sensitivity < 1) {
     return Status::InvalidArgument(

@@ -28,7 +28,8 @@ namespace dphist {
 /// kBatched/kSnapped/kDiscrete coincide here).
 class GeometricMechanism {
  public:
-  /// Creates a mechanism; requires epsilon > 0 and sensitivity >= 1.
+  /// Creates a mechanism; requires a finite epsilon > 0 and
+  /// sensitivity >= 1.
   static Result<GeometricMechanism> Create(double epsilon,
                                            std::int64_t sensitivity);
 

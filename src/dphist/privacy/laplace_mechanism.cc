@@ -1,5 +1,6 @@
 #include "dphist/privacy/laplace_mechanism.h"
 
+#include "dphist/privacy/budget.h"
 #include "dphist/random/distributions.h"
 
 namespace dphist {
@@ -12,8 +13,9 @@ Result<LaplaceMechanism> LaplaceMechanism::Create(double epsilon,
 Result<LaplaceMechanism> LaplaceMechanism::Create(double epsilon,
                                                   double sensitivity,
                                                   NoiseModel model) {
-  if (!(epsilon > 0.0)) {
-    return Status::InvalidArgument("LaplaceMechanism requires epsilon > 0");
+  if (!BudgetAccountant::ChargeableEpsilon(epsilon)) {
+    return Status::InvalidArgument(
+        "LaplaceMechanism requires a finite epsilon > 0");
   }
   if (!(sensitivity > 0.0)) {
     return Status::InvalidArgument(

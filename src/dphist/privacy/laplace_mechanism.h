@@ -25,7 +25,8 @@ namespace dphist {
 class LaplaceMechanism {
  public:
   /// Creates a mechanism for the given budget and sensitivity.
-  /// Returns InvalidArgument unless epsilon > 0 and sensitivity > 0.
+  /// Returns InvalidArgument unless epsilon is finite and > 0 and
+  /// sensitivity > 0.
   static Result<LaplaceMechanism> Create(double epsilon, double sensitivity);
 
   /// As above with an explicit noise model; kAuto consults the

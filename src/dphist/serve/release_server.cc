@@ -85,12 +85,8 @@ std::chrono::nanoseconds NextBackoff(std::chrono::nanoseconds backoff,
 
 // A request's epsilon names a release only when the ledger could charge
 // it: finite and positive.
-bool ValidRequestEpsilon(double epsilon) {
-  return BudgetAccountant::ChargeableEpsilon(epsilon);
-}
-
 Status CheckRequestEpsilon(const ServeRequest& request) {
-  if (ValidRequestEpsilon(request.epsilon)) {
+  if (BudgetAccountant::ChargeableEpsilon(request.epsilon)) {
     return Status::Ok();
   }
   return Status::InvalidArgument(
@@ -446,7 +442,7 @@ void ReleaseServer::AnswerInto(const SealedRelease& release,
 
 std::shared_ptr<const SealedRelease> ReleaseServer::TryGetCached(
     const TenantKey& tenant_key, const ServeRequest& request) const {
-  if (!ValidRequestEpsilon(request.epsilon)) {
+  if (!BudgetAccountant::ChargeableEpsilon(request.epsilon)) {
     return nullptr;  // GetRelease gives the typed refusal
   }
   auto dataset = FindDataset(tenant_key);
@@ -535,7 +531,8 @@ Result<RecoveryStats> ReleaseServer::Recover(const ReplayResult& replay) {
         // an epsilon no request may name; skip rather than fail the whole
         // recovery.
         if (record.fingerprint != registered.fingerprint ||
-            !ValidRequestEpsilon(record.epsilon) || !release.ok() ||
+            !BudgetAccountant::ChargeableEpsilon(record.epsilon) ||
+            !release.ok() ||
             release.value()->is_sparse() != registered.is_sparse() ||
             release.value()->size() != registered.domain()) {
           ++stats.skipped;

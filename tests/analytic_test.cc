@@ -1,6 +1,7 @@
 #include "dphist/metrics/analytic.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,6 +45,19 @@ TEST(AnalyticTest, ValidatesArguments) {
   EXPECT_FALSE(PriveletRangeVariance(16, {0, 4}, -1.0).ok());
   EXPECT_FALSE(GroupedBinVariance(0, 1.0).ok());
   EXPECT_FALSE(GroupedBinVariance(4, 0.0).ok());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double epsilon :
+       {kInf, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(DworkRangeVariance(5, epsilon).status().code(),
+              StatusCode::kInvalidArgument)
+        << epsilon;
+    EXPECT_EQ(PriveletRangeVariance(16, {0, 4}, epsilon).status().code(),
+              StatusCode::kInvalidArgument)
+        << epsilon;
+    EXPECT_EQ(GroupedBinVariance(4, epsilon).status().code(),
+              StatusCode::kInvalidArgument)
+        << epsilon;
+  }
 }
 
 TEST(AnalyticTest, DworkFormulaValues) {

@@ -1,6 +1,7 @@
 #include "dphist/privacy/exponential_mechanism.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,13 @@ TEST(ExponentialMechanismTest, RejectsBadParameters) {
   EXPECT_FALSE(ExponentialMechanism::Create(0.0, 1.0).ok());
   EXPECT_FALSE(ExponentialMechanism::Create(1.0, 0.0).ok());
   EXPECT_FALSE(ExponentialMechanism::Create(-1.0, -1.0).ok());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double epsilon :
+       {kInf, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(ExponentialMechanism::Create(epsilon, 1.0).status().code(),
+              StatusCode::kInvalidArgument)
+        << epsilon;
+  }
 }
 
 TEST(ExponentialMechanismTest, EmptyCandidatesRejected) {

@@ -1,6 +1,7 @@
 #include "dphist/privacy/geometric_mechanism.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,14 @@ TEST(GeometricMechanismTest, RejectsBadParameters) {
   EXPECT_FALSE(GeometricMechanism::Create(-1.0, 1).ok());
   EXPECT_FALSE(GeometricMechanism::Create(1.0, 0).ok());
   EXPECT_FALSE(GeometricMechanism::Create(1.0, -1).ok());
+  // An infinite epsilon would release the exact value (alpha 0).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double epsilon :
+       {kInf, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(GeometricMechanism::Create(epsilon, 1).status().code(),
+              StatusCode::kInvalidArgument)
+        << epsilon;
+  }
 }
 
 TEST(GeometricMechanismTest, AlphaMatchesDefinition) {

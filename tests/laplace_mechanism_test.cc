@@ -1,6 +1,7 @@
 #include "dphist/privacy/laplace_mechanism.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,14 @@ TEST(LaplaceMechanismTest, RejectsBadParameters) {
   EXPECT_FALSE(LaplaceMechanism::Create(-1.0, 1.0).ok());
   EXPECT_FALSE(LaplaceMechanism::Create(1.0, 0.0).ok());
   EXPECT_FALSE(LaplaceMechanism::Create(1.0, -2.0).ok());
+  // An infinite epsilon would release the exact value (scale 0).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double epsilon :
+       {kInf, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(LaplaceMechanism::Create(epsilon, 1.0).status().code(),
+              StatusCode::kInvalidArgument)
+        << epsilon;
+  }
 }
 
 TEST(LaplaceMechanismTest, ScaleIsSensitivityOverEpsilon) {

@@ -2,15 +2,16 @@
 // answers served over the wire are bit-identical to in-process
 // AnswerBatch calls in either codec and at any worker-pool size, a
 // saturated admission queue refuses with a typed kResourceExhausted (no
-// hang, no drop — the refused client retries and succeeds), coalescing
-// merges same-release queries into one serve-layer batch without letting
-// one member's bad query fail another, the event loop answers a sealed
-// release without forking onto the pool, and protocol errors come back
-// typed. These tests also run under ASan/UBSan and TSan in CI (label
-// `net`).
+// hang, no drop — the refused client retries and succeeds), a request for
+// a release another request is publishing waits on the event loop rather
+// than on a worker and gets exactly the answer or error it would get
+// alone, the event loop answers a sealed release without forking onto the
+// pool, and protocol errors come back typed. These tests also run under
+// ASan/UBSan and TSan in CI (label `net`).
 
 #include "dphist/net/server.h"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -362,7 +363,7 @@ TEST(NetTest, SaturatedAdmissionRefusesTypedThenRecovers) {
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
 }
 
-TEST(NetTest, SameReleaseQueriesCoalesceIntoOneBatch) {
+TEST(NetTest, SameReleaseQueriesWaitOnTheLoop) {
   HandlerGate gate(/*blocked=*/1);
   NetServerOptions options;
   options.max_inflight = 16;
@@ -378,9 +379,10 @@ TEST(NetTest, SameReleaseQueriesCoalesceIntoOneBatch) {
   const std::uint64_t batches_before = batches.value();
   const std::uint64_t coalesced_before = coalesced.value();
 
-  // The leader (request A) blocks inside its first drained batch; B and C
-  // for the SAME release arrive meanwhile and must ride the leader's next
-  // drain as one serve-layer batch.
+  // Request A blocks inside its handler; B and C for the SAME release
+  // arrive meanwhile and wait on the event loop for A to complete. The
+  // handler_hook turns the fast lane off, so they are then dispatched in
+  // turn, each as its own serve-layer batch.
   std::vector<std::thread> clients;
   std::vector<Result<WireBatchAnswer>> answers(3, Status::Internal("unset"));
   clients.emplace_back([&stack, &answers] {
@@ -392,8 +394,8 @@ TEST(NetTest, SameReleaseQueriesCoalesceIntoOneBatch) {
       answers[i] = stack.Query(TestQuery(), /*binary=*/true);
     });
   }
-  // B and C are parked in the coalescing group (not refused — admission
-  // has room); give their dispatches a moment to land, then release.
+  // B and C wait on the loop (not refused — admission has room); give
+  // them a moment to arrive, then release.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   gate.Release();
   for (std::thread& t : clients) {
@@ -407,15 +409,14 @@ TEST(NetTest, SameReleaseQueriesCoalesceIntoOneBatch) {
     ASSERT_TRUE(answers[i].ok()) << i << ": " << answers[i].status().ToString();
     EXPECT_EQ(answers[i].value().answers, expected.value().answers) << i;
   }
-  // All three requests were coalesced-counted, in at most two serve-layer
-  // drains (leader's first batch + one merged batch for the waiters; the
-  // waiters may split only if they raced ahead of each other's dispatch).
+  // All three requests were counted once on the dispatched path, in at
+  // most one pool dispatch each.
   EXPECT_EQ(coalesced.value() - coalesced_before, 3u);
   EXPECT_LE(batches.value() - batches_before, 3u);
   EXPECT_GE(batches.value() - batches_before, 1u);
 }
 
-TEST(NetTest, OneBadQueryFailsOnlyItsOwnCoalescedRequest) {
+TEST(NetTest, OneBadQueryFailsOnlyItsOwnWaitingRequest) {
   HandlerGate gate(/*blocked=*/1);
   NetServerOptions options;
   options.max_inflight = 16;
@@ -426,9 +427,9 @@ TEST(NetTest, OneBadQueryFailsOnlyItsOwnCoalescedRequest) {
   WireQueryRequest bad = TestQuery();
   bad.queries = {{0, 4}, {2, 9}, {5, 1000}};  // query 2 leaves the domain
 
-  // The first request holds the group's leader inside its drain; the good
-  // and the bad request for the same release queue behind it, in that
-  // order, and are answered by the leader's next drain as one group.
+  // The first request is held inside its handler; the good and the bad
+  // request for the same release wait behind it on the loop, in that
+  // order, and are each answered on their own once it completes.
   Result<WireBatchAnswer> first = Status::Internal("unset");
   Result<WireBatchAnswer> good_answer = Status::Internal("unset");
   Result<WireBatchAnswer> bad_answer = Status::Internal("unset");
@@ -455,13 +456,171 @@ TEST(NetTest, OneBadQueryFailsOnlyItsOwnCoalescedRequest) {
   EXPECT_EQ(first.value().answers, expected.value());
   ASSERT_TRUE(good_answer.ok()) << good_answer.status().ToString();
   EXPECT_EQ(good_answer.value().answers, expected.value());
-  // The bad request's 400 names its own query index, not its index in
-  // the merged batch.
+  // The bad request's 400 names its own query index.
   ASSERT_FALSE(bad_answer.ok());
   EXPECT_EQ(bad_answer.status().code(), StatusCode::kInvalidArgument);
   const std::string message = bad_answer.status().message();
   EXPECT_NE(message.find("range query 2 "), std::string::npos) << message;
   // One publication paid for everything.
+  EXPECT_EQ(stack.release_server.ledger().charge_count(), 1u);
+}
+
+TEST(NetTest, WaitingRequestsForOneReleaseReachNoWorker) {
+  // While a worker holds the request that will publish a cold release, a
+  // /v1/release and a second /v1/query for the same release wait on the
+  // event loop: neither takes a worker to block on the cache's publish
+  // slot. Once the first completes, all three agree, for one charge.
+  HandlerGate gate(/*blocked=*/1);
+  std::atomic<int> entries{0};
+  NetServerOptions options;
+  options.max_inflight = 16;
+  options.handler_hook = [&gate, &entries] {
+    entries.fetch_add(1);
+    gate.Enter();
+  };
+  TestStack stack(/*threads=*/4, options);
+
+  const WireQueryRequest query = TestQuery();
+  Result<WireBatchAnswer> first = Status::Internal("unset");
+  Result<WireHistogram> released = Status::Internal("unset");
+  Result<WireBatchAnswer> second = Status::Internal("unset");
+  std::thread first_client([&] { first = stack.Query(query, true); });
+  gate.AwaitEntered(1);
+  std::thread release_client([&] {
+    NetClient client;
+    const Status connected = client.Connect("127.0.0.1", stack.server->port());
+    EXPECT_TRUE(connected.ok()) << connected.ToString();
+    released = client.Release(query, /*binary=*/true);
+  });
+  std::thread second_client([&] { second = stack.Query(query, false); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(entries.load(), 1);
+  gate.Release();
+  first_client.join();
+  release_client.join();
+  second_client.join();
+
+  auto release = stack.release_server.GetRelease(query.request);
+  ASSERT_TRUE(release.ok()) << release.status().ToString();
+  auto expected = AnswerQueries(release.value()->histogram(), query.queries);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value().answers, expected.value());
+  ASSERT_TRUE(released.ok()) << released.status().ToString();
+  EXPECT_EQ(released.value().counts, release.value()->histogram().counts());
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second.value().answers, expected.value());
+  EXPECT_EQ(stack.release_server.ledger().charge_count(), 1u);
+}
+
+TEST(NetTest, SingleThreadPoolAnswersConcurrentColdRequests) {
+  // With one thread, Submit runs the dispatched request inline on the
+  // loop. Six clients on one cold release, in both codecs, get identical
+  // answers for one charge: with the fast lane on, and with a
+  // handler_hook turning it off, so that each waiter is dispatched in
+  // turn on the loop.
+  for (const bool hooked : {false, true}) {
+    NetServerOptions options;
+    std::atomic<int> entries{0};
+    if (hooked) {
+      options.handler_hook = [&entries] { entries.fetch_add(1); };
+    }
+    TestStack stack(/*threads=*/1, options);
+    const WireQueryRequest query = TestQuery(/*seed=*/7);
+    std::vector<Result<WireBatchAnswer>> answers(6, Status::Internal("unset"));
+    std::vector<std::thread> clients;
+    for (std::size_t i = 0; i < answers.size(); ++i) {
+      clients.emplace_back([&stack, &answers, &query, i] {
+        answers[i] = stack.Query(query, /*binary=*/i % 2 == 0);
+      });
+    }
+    for (std::thread& t : clients) {
+      t.join();
+    }
+    auto release = stack.release_server.GetRelease(query.request);
+    ASSERT_TRUE(release.ok()) << release.status().ToString();
+    auto expected = AnswerQueries(release.value()->histogram(), query.queries);
+    ASSERT_TRUE(expected.ok());
+    for (std::size_t i = 0; i < answers.size(); ++i) {
+      ASSERT_TRUE(answers[i].ok())
+          << i << ": " << answers[i].status().ToString();
+      EXPECT_EQ(answers[i].value().answers, expected.value()) << i;
+      EXPECT_EQ(answers[i].value().served, release.value()->key()) << i;
+      EXPECT_FALSE(answers[i].value().stale) << i;
+    }
+    EXPECT_EQ(stack.release_server.ledger().charge_count(), 1u) << hooked;
+    if (hooked) {
+      EXPECT_EQ(entries.load(), 6);
+    }
+  }
+}
+
+TEST(NetTest, WaitersOnAFailedDispatchAreDispatchedInTurn) {
+  // The budget covers one release, spent in process. Three gated requests
+  // for a second cold release: the first is refused by the ledger and
+  // degrades to the cached release, which seals nothing for the second
+  // key, so each waiter is dispatched in turn and degrades the same way,
+  // with no extra charge.
+  HandlerGate gate(/*blocked=*/1);
+  NetServerOptions options;
+  options.max_inflight = 16;
+  options.handler_hook = [&gate] { gate.Enter(); };
+  TestStack stack(/*threads=*/4, options, /*total_epsilon=*/0.5);
+  auto spent = stack.release_server.GetRelease(TestQuery(/*seed=*/1).request);
+  ASSERT_TRUE(spent.ok()) << spent.status().ToString();
+  const serve::BudgetLedger& ledger = stack.release_server.ledger();
+  ASSERT_EQ(ledger.charge_count(), 1u);
+
+  const WireQueryRequest query = TestQuery(/*seed=*/2);
+  std::vector<Result<WireBatchAnswer>> answers(3, Status::Internal("unset"));
+  std::vector<std::thread> clients;
+  clients.emplace_back([&] { answers[0] = stack.Query(query, true); });
+  gate.AwaitEntered(1);
+  for (std::size_t i = 1; i < answers.size(); ++i) {
+    clients.emplace_back([&stack, &answers, &query, i] {
+      answers[i] = stack.Query(query, /*binary=*/i % 2 == 0);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate.Release();
+  for (std::thread& t : clients) {
+    t.join();
+  }
+
+  auto expected = AnswerQueries(spent.value()->histogram(), query.queries);
+  ASSERT_TRUE(expected.ok());
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    ASSERT_TRUE(answers[i].ok()) << i << ": " << answers[i].status().ToString();
+    EXPECT_TRUE(answers[i].value().stale) << i;
+    EXPECT_EQ(answers[i].value().served.seed, 1u) << i;
+    EXPECT_EQ(answers[i].value().answers, expected.value()) << i;
+  }
+  EXPECT_EQ(ledger.charge_count(), 1u);
+}
+
+TEST(NetTest, StopFinishesRequestsWaitingOnTheLoop) {
+  // Stop() returns only after the held request and the request waiting
+  // on it have both run, so no waiter outlives the drain.
+  HandlerGate gate(/*blocked=*/1);
+  std::atomic<int> entries{0};
+  NetServerOptions options;
+  options.handler_hook = [&gate, &entries] {
+    entries.fetch_add(1);
+    gate.Enter();
+  };
+  TestStack stack(/*threads=*/4, options);
+  const WireQueryRequest query = TestQuery();
+  std::thread first([&stack, &query] { (void)stack.Query(query, true); });
+  gate.AwaitEntered(1);
+  std::thread second([&stack, &query] { (void)stack.Query(query, false); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::thread stopper([&stack] { stack.server->Stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate.Release();
+  stopper.join();
+  EXPECT_EQ(entries.load(), 2);
+  first.join();
+  second.join();
   EXPECT_EQ(stack.release_server.ledger().charge_count(), 1u);
 }
 

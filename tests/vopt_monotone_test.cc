@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <utility>
@@ -794,7 +793,7 @@ TEST(VOptMonotoneTest, MonotonePrunesLookups) {
   EXPECT_EQ(naive.stats().cells, mono.stats().cells);
 }
 
-TEST(VOptMonotoneTest, AutoResolvesBySizeAndEnv) {
+TEST(VOptMonotoneTest, AutoResolvesBySize) {
   auto large = IntervalCostTable::Create(UniformCounts(100, 8),
                                          IntervalCostTable::Options{});
   auto small = IntervalCostTable::Create(UniformCounts(8, 9),
@@ -804,47 +803,23 @@ TEST(VOptMonotoneTest, AutoResolvesBySizeAndEnv) {
   auto resolved = [](const Result<VOptSolver>& solver) {
     return solver.value().stats().strategy;
   };
-  // kAuto: monotone once rows are long enough to prune, naive below.
+  // kAuto: monotone once rows are long enough to prune, naive below...
   EXPECT_EQ(resolved(VOptSolver::Solve(large.value(), 0)),
             VOptStrategy::kMonotone);
   EXPECT_EQ(resolved(VOptSolver::Solve(small.value(), 0)),
             VOptStrategy::kNaive);
-  // DPHIST_VOPT_STRATEGY overrides kAuto in both directions...
-  ASSERT_EQ(setenv("DPHIST_VOPT_STRATEGY", "naive", 1), 0);
-  EXPECT_EQ(resolved(VOptSolver::Solve(large.value(), 0)),
-            VOptStrategy::kNaive);
-  ASSERT_EQ(setenv("DPHIST_VOPT_STRATEGY", "monotone", 1), 0);
-  EXPECT_EQ(resolved(VOptSolver::Solve(small.value(), 0)),
-            VOptStrategy::kMonotone);
-  // ...an unknown value falls back to the kAuto policy...
-  ASSERT_EQ(setenv("DPHIST_VOPT_STRATEGY", "warp-speed", 1), 0);
-  EXPECT_EQ(resolved(VOptSolver::Solve(large.value(), 0)),
-            VOptStrategy::kMonotone);
-  // ...and an explicit SolveOptions strategy beats the environment.
-  ASSERT_EQ(setenv("DPHIST_VOPT_STRATEGY", "monotone", 1), 0);
+  // ...and an explicit SolveOptions strategy is taken as given.
   VOptSolver::SolveOptions explicit_naive;
   explicit_naive.strategy = VOptStrategy::kNaive;
   EXPECT_EQ(
       resolved(VOptSolver::Solve(large.value(), 0, explicit_naive)),
       VOptStrategy::kNaive);
-  ASSERT_EQ(unsetenv("DPHIST_VOPT_STRATEGY"), 0);
 }
 
-TEST(VOptMonotoneTest, StrategyNamesAndParsing) {
+TEST(VOptMonotoneTest, StrategyNames) {
   EXPECT_STREQ(VOptStrategyName(VOptStrategy::kAuto), "auto");
   EXPECT_STREQ(VOptStrategyName(VOptStrategy::kNaive), "naive");
   EXPECT_STREQ(VOptStrategyName(VOptStrategy::kMonotone), "monotone");
-  VOptStrategy out = VOptStrategy::kAuto;
-  EXPECT_TRUE(ParseVOptStrategy("monotone", &out));
-  EXPECT_EQ(out, VOptStrategy::kMonotone);
-  EXPECT_TRUE(ParseVOptStrategy("naive", &out));
-  EXPECT_EQ(out, VOptStrategy::kNaive);
-  EXPECT_TRUE(ParseVOptStrategy("auto", &out));
-  EXPECT_EQ(out, VOptStrategy::kAuto);
-  out = VOptStrategy::kMonotone;
-  EXPECT_FALSE(ParseVOptStrategy("Monotone", &out));
-  EXPECT_FALSE(ParseVOptStrategy("", &out));
-  EXPECT_EQ(out, VOptStrategy::kMonotone);  // failed parse leaves it alone
 }
 
 }  // namespace

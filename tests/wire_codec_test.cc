@@ -368,8 +368,7 @@ TEST(WireCodecTest, BatchAnswerWriterAppendsTheEncodedFrame) {
                       answer.served);
     EXPECT_EQ(out, "prefix" + frame) << "size " << size;
   }
-  // A slice of a larger answer vector encodes as that slice alone — how a
-  // coalesced batch is split back per request.
+  // A slice of a larger answer vector encodes as that slice alone.
   const WireBatchAnswer whole = SampleBatchAnswer(10);
   WireBatchAnswer slice = whole;
   slice.answers.assign(whole.answers.begin() + 3, whole.answers.begin() + 7);
